@@ -44,7 +44,7 @@ from ..testing.strategies import ExhaustiveStrategy, RandomStrategy
 
 #: Version of the wire format.  Bumped on any incompatible change; both
 #: ends reject mismatched envelopes eagerly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _JSON_SCALARS = (type(None), bool, int, float, str)
 
@@ -194,11 +194,10 @@ def decode_shard(data: Dict[str, Any]) -> Any:
             monitor_window=int(data["monitor_window"]),
             reuse_instances=bool(data["reuse_instances"]),
             track_coverage=bool(data["track_coverage"]),
-            # Read with .get: messages from peers predating the population
-            # plane simply run the serial tester.
+            # Required key; null runs the serial tester.
             population_size=(
                 None
-                if data.get("population_size") is None
+                if data["population_size"] is None
                 else int(data["population_size"])
             ),
         )

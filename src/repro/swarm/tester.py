@@ -185,18 +185,8 @@ class SwarmTester(ParallelTester):
         # re-serialized every accumulated record on each 50 ms tick,
         # making the wait quadratic in session size.
         poll = 0.01
-        use_status = True
         while True:
-            if use_status:
-                try:
-                    summary = get_json(url, f"/api/v1/session/{session_id}/status")
-                except protocol.ProtocolError:
-                    # A legacy control plane without the status route:
-                    # degrade to polling the full report as before.
-                    use_status = False
-                    continue
-            else:
-                summary = get_json(url, f"/api/v1/session/{session_id}/report")
+            summary = get_json(url, f"/api/v1/session/{session_id}/status")
             if summary["finished"]:
                 break
             if time.monotonic() >= deadline:
@@ -225,8 +215,7 @@ class SwarmTester(ParallelTester):
         if isinstance(report, SwarmReport):
             report.duplicates = summary["duplicates"]
             report.events = list(summary["events"])
-            # .get: a legacy control plane's report has no stats section.
-            report.population_stats = dict(summary.get("population_stats") or {})
+            report.population_stats = dict(summary["population_stats"])
         report.invalidate_caches()
 
 

@@ -94,11 +94,6 @@ class ModelInstance:
         return None
 
 
-#: Deprecated alias — the class was renamed to :class:`ModelInstance` so that
-#: pytest stops trying to collect it as a test class.
-TestHarness = ModelInstance
-
-
 @dataclass
 class ExecutionRecord:
     """Outcome of a single explored execution.
@@ -429,9 +424,6 @@ class SystematicTester:
             violations=list(violations),
             trail=record_trail(self.strategy),
         )
-
-    # Backwards-compatible private name.
-    _run_one = run_single
 
     def replay(self, trail: Sequence[int], index: int = 0) -> ExecutionRecord:
         """Deterministically re-execute a recorded counterexample trail.

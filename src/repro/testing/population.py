@@ -42,24 +42,21 @@ of re-executing the prefix.  Snapshots are a pure optimisation:
 restoring one lands on exactly the state the replayed prefix would have
 recomputed.
 
-Two snapshot representations exist:
-
-* **delta snapshots** (default): the model is decomposed into
-  *components* — the engine scalars, topic board, calendar, each node's
-  local state, the monitors, and the environment — and a snapshot
-  records only the components whose state changed since the parent
-  snapshot, detected through the dirty-tracking version ids of
-  :mod:`repro.core.resettable` (``TopicBoard``/``Calendar``/environment
-  hooks, the engine's per-node fire clock).  A restore resolves each
-  component against the delta chain up to the deepest full snapshot and
-  rewinds the **live** instance in place, skipping components whose
-  version already matches — no pickling, no object-graph rebuild, and
-  capture cost proportional to what actually changed.
-* **whole-state snapshots** (fallback, and ``use_delta_snapshots=False``):
-  a pickle of the (instance, engine) pair with static geometry pinned
-  out via persistent ids; models whose state graphs resist pickling fall
-  back once more to held deep copies (``PopulationStats.pickle_fallbacks``
-  counts the flip).
+Snapshots are *component deltas*: the model is decomposed into
+components — the engine scalars, topic board, calendar, each node's local
+state, the monitors, and the environment — and a snapshot records only
+the components whose state changed since the parent snapshot, detected
+through the dirty-tracking version ids of :mod:`repro.core.resettable`
+(``TopicBoard``/``Calendar``/environment hooks, the engine's per-node fire
+clock).  A restore resolves each component against the delta chain up to
+the deepest full snapshot and rewinds the **live** instance in place,
+skipping components whose version already matches — no pickling, no
+object-graph rebuild, and capture cost proportional to what actually
+changed.  A chain holds at most :data:`DELTA_CHAIN_LIMIT` snapshots
+before a full vector is captured again, bounding restore-time chain
+walks.  If a component's capture ever raises, the tester stops
+snapshotting for the rest of the sweep and runs dedup-only
+(``PopulationStats.pickle_fallbacks`` counts the flip).
 
 Snapshot *scheduling* is adaptive: ``snapshot_after`` caps how many
 boundary visits a node needs before it earns a snapshot, and the
@@ -76,16 +73,13 @@ snapshots entirely (dedup-only mode).
 
 from __future__ import annotations
 
-import copy
-import io
-import pickle
 import types
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.monitor import Violation
 from ..core.resettable import capture_state, restore_state
-from .coverage import CoverageMap, CoverageTracker
+from .coverage import CoverageMap
 from .explorer import ExecutionRecord, ModelInstance, SystematicTester
 from .scheduler import BoundedAsynchronyScheduler
 from .strategies import ChoiceStrategy, record_trail
@@ -116,24 +110,18 @@ class _Snapshot:
 
     The capture is the model mid-execution with exactly ``position``
     choices consumed — the values on the trie path to the node holding
-    this snapshot.  Preferred representation is an incremental component
-    *delta*: ``vector`` maps component keys to captured states for the
-    components that changed since ``parent`` (a full vector when
-    ``parent`` is None), and ``versions`` records every component's
-    dirty-tracking id at capture time so restores can skip components
-    already in the right state.  The whole-state fallbacks are a pickle
-    byte string with static geometry pinned out via persistent ids, or —
-    for models whose state graphs resist pickling — a held deep copy
-    that each restore re-copies.
+    this snapshot, as an incremental component *delta*: ``vector`` maps
+    component keys to captured states for the components that changed
+    since ``parent`` (a full vector when ``parent`` is None), and
+    ``versions`` records every component's dirty-tracking id at capture
+    time so restores can skip components already in the right state.
     """
 
     steps: int
     violations: Tuple[Violation, ...]
     position: int
-    data: Optional[bytes] = None
-    pair: Optional[Tuple[ModelInstance, Any]] = None
-    vector: Optional[Dict[str, Any]] = None
-    versions: Optional[Dict[str, Optional[int]]] = None
+    vector: Dict[str, Any]
+    versions: Dict[str, Optional[int]]
     parent: Optional["_Snapshot"] = None
     depth: int = 0
 
@@ -223,7 +211,9 @@ class PopulationStats:
     live_choices: int = 0
     delta_snapshots: int = 0  # incremental (non-full) component captures
     delta_restores: int = 0  # restores applied in place from a delta chain
-    pickle_fallbacks: int = 0  # times the pickle path gave way to deep copies
+    # Sweeps where a delta capture raised and snapshotting was switched
+    # off (0 or 1); the name predates the removal of the pickle tier.
+    pickle_fallbacks: int = 0
 
     @property
     def compaction_rate(self) -> float:
@@ -231,6 +221,12 @@ class PopulationStats:
         if self.executions == 0:
             return 0.0
         return self.compacted / self.executions
+
+
+#: A delta chain holds at most this many snapshots (one full vector plus
+#: its deltas) before the next capture is a full vector again, bounding
+#: restore-time chain walks.
+DELTA_CHAIN_LIMIT = 8
 
 
 #: Object types never captured into snapshots: immutable (or
@@ -257,21 +253,15 @@ class PopulationTester(SystematicTester):
         population_size: bound on retained prefix snapshots (the
             materialised row-group working set).
         share_prefixes: capture/restore snapshots on shared trail
-            prefixes.  ``False`` leaves only trail compaction (dedup).
+            prefixes.  ``False`` leaves only trail compaction (dedup); the
+            tester flips it off itself if a snapshot capture raises.
         snapshot_after: how many live step-boundary visits a trie node
             must see before it earns a snapshot (the laziness knob:
             1 snapshots eagerly, higher values only snapshot prefixes
             that keep being re-run).
-        use_delta_snapshots: capture incremental component deltas instead
-            of whole-state pickles (automatic fallback to the pickle /
-            deep-copy path if a component resists the delta protocol).
         use_batch_plant: let plant-in-the-loop environments step their
             vehicles through the (K, …) matrix plant
             (:class:`~repro.simulation.plantenv.RowGroupPlant`).
-        delta_chain_limit: force a full component vector every this many
-            chained deltas (bounds restore-time chain walks).
-        adaptive_snapshots: anneal the effective ``snapshot_after`` from
-            measured re-run depth.
 
     >>> from repro.testing import RandomStrategy, scenario_factory
     >>> tester = PopulationTester(
@@ -296,10 +286,7 @@ class PopulationTester(SystematicTester):
         share_prefixes: bool = True,
         snapshot_after: int = 3,
         snapshot_min_steps: int = 6,
-        use_delta_snapshots: bool = True,
         use_batch_plant: bool = True,
-        delta_chain_limit: int = 8,
-        adaptive_snapshots: bool = True,
     ) -> None:
         if not reuse_instances:
             raise ValueError(
@@ -318,34 +305,21 @@ class PopulationTester(SystematicTester):
             reuse_instances=True,
             track_coverage=track_coverage,
         )
-        if delta_chain_limit < 1:
-            raise ValueError("delta_chain_limit must be at least 1")
         self.population_size = population_size
         self.share_prefixes = share_prefixes
         self.snapshot_after = snapshot_after
         self.snapshot_min_steps = snapshot_min_steps
-        self.use_delta_snapshots = use_delta_snapshots
         self.use_batch_plant = use_batch_plant
-        self.delta_chain_limit = delta_chain_limit
-        self.adaptive_snapshots = adaptive_snapshots
         self.stats = PopulationStats()
         self._router = _TrailRouter(self)
         self._root = _TrieNode()
         self._pins: Optional[List[Any]] = None
-        # Pin registry of the pickle-based snapshot path: index <-> object
-        # for every shared (never-serialised) object, grown on demand for
-        # functions/closures discovered while dumping.
-        self._pin_objects: List[Any] = []
-        self._pin_index: Dict[int, int] = {}
-        self._pickle_snapshots = True  # flips off after the first failure
         # Delta-snapshot bookkeeping: the component decomposition of the
         # reused instance, the extra pins that keep cross-component
         # references live, and the version vector of the state point the
         # live graph last synchronised with (None right after a reset —
         # the next capture must be a full vector).
-        self._delta_ok = use_delta_snapshots  # flips off after the first failure
         self._components: Optional[List[Tuple[str, Any]]] = None
-        self._components_engine: Optional[Any] = None
         self._component_pins: List[Any] = []
         self._delta_baseline: Optional[Dict[str, Optional[int]]] = None
         self._delta_parent: Optional[_Snapshot] = None
@@ -410,9 +384,6 @@ class PopulationTester(SystematicTester):
             node = child
         return self._run_live(index, path_nodes, values)
 
-    # Keep the base class's deprecated alias pointing at the override.
-    _run_one = run_single
-
     def _compact(self, index: int, leaf: _Leaf) -> ExecutionRecord:
         """A dead row: the walked trail is fully known — duplicate its outcome.
 
@@ -448,42 +419,26 @@ class PopulationTester(SystematicTester):
             # Deepest snapshotted node on the walked path wins: its state
             # has consumed exactly the values leading to it.
             for j in range(len(path_nodes) - 1, 0, -1):
-                snap = path_nodes[j].snapshot
-                if snap is not None and self._snapshot_usable(snap):
-                    snapshot = snap
+                snapshot = path_nodes[j].snapshot
+                if snapshot is not None:
                     restore_position = j
                     break
         self._delta_baseline = None
         self._delta_parent = None
         if snapshot is not None:
+            self._restore_delta(snapshot)
             self.stats.restores += 1
-            if snapshot.vector is not None:
-                # Delta restore rewinds the live instance in place — no
-                # new objects, no tracker rebinding.
-                self._restore_delta(snapshot)
-                self.stats.delta_restores += 1
-                instance = self._instance
-                engine = self._engine
-            else:
-                if snapshot.data is not None:
-                    instance, engine = self._unpickle_state(snapshot.data)
-                else:
-                    memo = self._pin_memo()
-                    instance, engine = copy.deepcopy(snapshot.pair, memo)
-                self._instance = instance
-                self._engine = engine
-                self._rebind_tracker(instance)
+            self.stats.delta_restores += 1
+            harness, engine = self._instance, self._engine
             start_steps = snapshot.steps
             base_violations = snapshot.violations
-            harness = instance
         else:
-            restore_position = 0
             harness, engine = self._acquire()
             self._bind_strategy(harness)
         router.arm(values, path_nodes, restore_position)
         replayed = len(values) - restore_position
         self.stats.replayed_choices += replayed
-        if self.adaptive_snapshots and self.share_prefixes:
+        if self.share_prefixes:
             # Anneal the snapshot threshold from measured re-run depth:
             # long replayed prefixes mean capture is being under-spent on
             # the paths restores actually resume from; exact landings mean
@@ -528,8 +483,11 @@ class PopulationTester(SystematicTester):
                             node.snapshot = self._take_snapshot(
                                 steps, violations, position
                             )
-                            population.snapshots_taken += 1
-                            population.snapshots_retained += 1
+                            if node.snapshot is None:
+                                share = False
+                            else:
+                                population.snapshots_taken += 1
+                                population.snapshots_retained += 1
             pending = calendar.next_due()
             if pending is None:
                 break
@@ -643,38 +601,20 @@ class PopulationTester(SystematicTester):
     # ------------------------------------------------------------------ #
     def _take_snapshot(
         self, steps: int, violations: List[Violation], position: int
-    ) -> _Snapshot:
-        if self._delta_ok:
-            try:
-                return self._take_delta_snapshot(steps, violations, position)
-            except Exception:
-                # Some component of this model resists the delta protocol
-                # (e.g. un-deepcopyable state); fall through to the
-                # whole-state representations from now on.
-                self._delta_ok = False
-                self._delta_baseline = None
-                self._delta_parent = None
-        state = (self._instance, self._engine)
-        if self._pickle_snapshots:
-            try:
-                return _Snapshot(
-                    steps=steps,
-                    violations=tuple(violations),
-                    position=position,
-                    data=self._pickle_state(state),
-                )
-            except (pickle.PicklingError, TypeError, AttributeError, NotImplementedError):
-                # Some object in this model's state graph resists pickling;
-                # remember that and hold deep copies instead from now on.
-                self._pickle_snapshots = False
-                self.stats.pickle_fallbacks += 1
-        memo = self._pin_memo()
-        return _Snapshot(
-            steps=steps,
-            violations=tuple(violations),
-            position=position,
-            pair=copy.deepcopy(state, memo),
-        )
+    ) -> Optional[_Snapshot]:
+        """Capture a delta snapshot, or switch snapshotting off for good.
+
+        A component that resists capture (e.g. un-deepcopyable state)
+        turns the rest of the sweep dedup-only — the
+        ``share_prefixes=False`` mode — rather than risking a partial
+        capture; the flip is counted once in ``pickle_fallbacks``.
+        """
+        try:
+            return self._take_delta_snapshot(steps, violations, position)
+        except Exception:
+            self.share_prefixes = False
+            self.stats.pickle_fallbacks += 1
+            return None
 
     # ------------------------------------------------------------------ #
     # delta snapshots: component decomposition, capture, restore
@@ -711,18 +651,6 @@ class PopulationTester(SystematicTester):
             pins.extend([module, module.spec])
         self._components = components
         self._component_pins = pins
-        self._components_engine = engine
-
-    def _snapshot_usable(self, snapshot: _Snapshot) -> bool:
-        """Whole-state snapshots always restore; a delta snapshot only onto
-        the same live object graph it was captured from (a whole-state
-        restore in mixed mode replaces the graph, stranding older deltas)."""
-        if snapshot.vector is None:
-            return True
-        return (
-            self._components is not None
-            and getattr(self, "_components_engine", None) is self._engine
-        )
 
     def _component_memo(self) -> Dict[int, Any]:
         """Deepcopy memo for one capture/restore event: geometry pins, the
@@ -736,13 +664,8 @@ class PopulationTester(SystematicTester):
     def _take_delta_snapshot(
         self, steps: int, violations: List[Violation], position: int
     ) -> _Snapshot:
-        if (
-            self._components is None
-            or getattr(self, "_components_engine", None) is not self._engine
-        ):
+        if self._components is None:
             self._ensure_components()
-            self._delta_baseline = None
-            self._delta_parent = None
         engine = self._engine
         node_versions = engine.node_versions
         baseline = self._delta_baseline
@@ -750,7 +673,7 @@ class PopulationTester(SystematicTester):
         full = (
             baseline is None
             or parent is None
-            or parent.depth + 1 >= self.delta_chain_limit
+            or parent.depth + 1 >= DELTA_CHAIN_LIMIT
         )
         if full:
             parent = None
@@ -791,9 +714,7 @@ class PopulationTester(SystematicTester):
         resolved: Dict[str, Any] = {}
         chain: Optional[_Snapshot] = snapshot
         while chain is not None:
-            vector = chain.vector
-            assert vector is not None
-            for key, state in vector.items():
+            for key, state in chain.vector.items():
                 if key not in resolved:
                     resolved[key] = state
             chain = chain.parent
@@ -801,7 +722,7 @@ class PopulationTester(SystematicTester):
         engine = self._engine
         node_versions = engine.node_versions
         versions = snapshot.versions
-        assert versions is not None and self._components is not None
+        assert self._components is not None
         for key, obj in self._components:
             target = versions[key]
             if key.startswith("node:"):
@@ -818,49 +739,6 @@ class PopulationTester(SystematicTester):
                     obj.delta_version = target
         self._delta_baseline = versions
         self._delta_parent = snapshot
-
-    def _pickle_state(self, state: Tuple[ModelInstance, Any]) -> bytes:
-        """Serialise (instance, engine) with shared objects pinned out.
-
-        Pinned objects (static geometry, the router, and every function /
-        closure the dump encounters) are replaced by persistent ids, so
-        the byte string holds only per-execution state and unpickling
-        re-links the shared objects by reference.
-        """
-        if self._pins is None:
-            self._pins = self._collect_pins(self._instance, self._engine)
-            for obj in self._pins + [self._router]:
-                self._register_pin(obj)
-        pin_index = self._pin_index
-        register = self._register_pin
-        buffer = io.BytesIO()
-        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-
-        def persistent_id(obj: Any) -> Optional[int]:
-            index = pin_index.get(id(obj))
-            if index is not None:
-                return index
-            if isinstance(obj, (types.FunctionType, types.BuiltinFunctionType)):
-                return register(obj)
-            return None
-
-        pickler.persistent_id = persistent_id  # type: ignore[method-assign]
-        pickler.dump(state)
-        return buffer.getvalue()
-
-    def _unpickle_state(self, data: bytes) -> Tuple[ModelInstance, Any]:
-        pin_objects = self._pin_objects
-        unpickler = pickle.Unpickler(io.BytesIO(data))
-        unpickler.persistent_load = pin_objects.__getitem__  # type: ignore[method-assign]
-        return unpickler.load()
-
-    def _register_pin(self, obj: Any) -> int:
-        index = self._pin_index.get(id(obj))
-        if index is None:
-            index = len(self._pin_objects)
-            self._pin_objects.append(obj)
-            self._pin_index[id(obj)] = index
-        return index
 
     def _pin_memo(self) -> Dict[int, Any]:
         """A deepcopy memo pre-seeding every pinned (shared, uncopied) object."""
@@ -911,13 +789,3 @@ class PopulationTester(SystematicTester):
             if attributes:
                 stack.extend(attributes.values())
         return pins
-
-    def _rebind_tracker(self, instance: ModelInstance) -> None:
-        """Point the tester at the coverage tracker inside a restored copy."""
-        if self._tracker is None:
-            return
-        for monitor in instance.monitors.monitors:
-            if isinstance(monitor, CoverageTracker):
-                self._tracker = monitor
-                return
-        raise RuntimeError("restored instance lost its coverage tracker")

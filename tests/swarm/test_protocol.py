@@ -95,12 +95,13 @@ class TestShards:
 
     @pytest.mark.parametrize("shard", [random_shard(), exhaustive_shard()],
                              ids=["random", "exhaustive"])
-    def test_legacy_peer_without_population_size_decodes(self, shard):
-        # Older peers never send the key: decoding must default to the
-        # serial (non-population) tester, not crash.
+    def test_shard_without_population_size_rejected(self, shard):
+        # The key is required since protocol version 2 (null still means
+        # the serial tester): a peer that omits it is malformed.
         wire = protocol.encode_shard(shard)
         del wire["population_size"]
-        assert protocol.decode_shard(wire).population_size is None
+        with pytest.raises(protocol.ProtocolError, match="malformed shard"):
+            protocol.decode_shard(wire)
 
     def test_malformed_shard_rejected(self):
         with pytest.raises(protocol.ProtocolError, match="malformed shard"):

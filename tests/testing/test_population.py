@@ -7,8 +7,10 @@ is pure mechanics: the report it produces must be *observably identical* to
 the serial :class:`~repro.testing.explorer.SystematicTester` — byte-equal
 trails, step counts, violation sequences, and coverage — on every
 registered scenario, for random and exhaustive strategies, with sharing on
-and off.  These tests are the proof the ≥5x speedup claim rides on.
+and off.  These tests are the proof the speedup claims ride on.
 """
+
+import dataclasses
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.testing import (
     PopulationTester,
     RandomStrategy,
     SystematicTester,
+    build_scenario,
     scenario_factory,
 )
 
@@ -145,6 +148,7 @@ class TestPopulationVsSerialEquivalence:
         assert stats.snapshots_taken > 0
         assert stats.restores > 0
         assert stats.snapshots_retained <= population.population_size
+        assert stats.restores == stats.delta_restores
 
     def test_replay_matches_serial_replay(self):
         factory = scenario_factory("drone-surveillance", include_unsafe_position=True)
@@ -178,6 +182,8 @@ class TestPopulationVsSerialEquivalence:
 class _Unpicklable:
     """Deep-copyable but pickle-resistant payload (e.g. a C handle)."""
 
+    copies = 0  # deep copies made, across all instances
+
     def __init__(self):
         self.ticks = 0
 
@@ -187,61 +193,104 @@ class _Unpicklable:
         raise pickle.PicklingError("opaque native handle")
 
     def __deepcopy__(self, memo):
+        _Unpicklable.copies += 1
         clone = _Unpicklable()
         clone.ticks = self.ticks
         return clone
 
 
-class TestSnapshotFallback:
-    """Pin the snapshot robustness ladder: delta → pickle → deep copies.
+class _CaptureBudget:
+    """A component capture hook that succeeds ``budget`` times, then raises.
 
-    A model whose node state holds a pickle-resistant (but deep-copyable)
-    object must still be swept correctly: the whole-state path flips from
-    pickling to held deep copies on the first failure, records the flip in
-    ``PopulationStats.pickle_fallbacks``, and the resulting report stays
-    byte-equal to the serial sweep.
+    Stands in for state that stops being capturable mid-sweep.  At the
+    failing call it keeps a copy of the tester's counters, so the test can
+    tell what happened after the failure.
+    """
+
+    def __init__(self, capture, budget, stats):
+        self.capture = capture
+        self.budget = budget
+        self.stats = stats
+        self.calls = 0
+        self.at_failure = None
+
+    def __call__(self):
+        self.calls += 1
+        if self.calls > self.budget:
+            self.at_failure = dataclasses.replace(self.stats)
+            raise RuntimeError("state no longer capturable")
+        return self.capture()
+
+
+class TestSnapshotFallback:
+    """Pin what happens when component state resists capture.
+
+    Delta capture deep-copies hook-less node state and never pickles, so a
+    pickle-resistant object costs nothing.  A capture that *raises* turns
+    the rest of the sweep dedup-only (``share_prefixes=False``), counted
+    once in ``PopulationStats.pickle_fallbacks``; either way the report
+    stays byte-equal to the serial sweep.
     """
 
     @staticmethod
-    def _factory():
-        from repro.testing import build_scenario
-
-        instance = build_scenario("toy-closed-loop", broken_ttf=True)
-        # Plant the opaque object inside a node the snapshots must carry.
-        instance.system.modules[0].decision.opaque_handle = _Unpicklable()
-        return instance
-
-    def _sweep(self, **kwargs):
-        factory = self._factory
+    def _sweep(factory, population):
         serial = SystematicTester(
             factory, RandomStrategy(seed=4, max_executions=40), reuse_instances=True
-        )
-        population = PopulationTester(
-            factory,
-            RandomStrategy(seed=4, max_executions=40),
-            snapshot_after=1,
-            snapshot_min_steps=1,
-            **kwargs,
         )
         serial_report = serial.explore()
         population_report = population.explore()
         assert _report_keys(population_report) == _report_keys(serial_report)
         assert population.coverage.counts == serial.coverage.counts
-        return population
 
-    def test_whole_state_path_falls_back_to_deep_copies(self):
-        population = self._sweep(use_delta_snapshots=False)
-        stats = population.stats
-        assert stats.pickle_fallbacks >= 1
-        assert stats.snapshots_taken > 0
-        assert stats.restores > 0
-        assert stats.delta_snapshots == 0
+    @staticmethod
+    def _population(factory):
+        return PopulationTester(
+            factory,
+            RandomStrategy(seed=4, max_executions=40),
+            snapshot_after=1,
+            snapshot_min_steps=1,
+        )
 
     def test_delta_path_shrugs_off_unpicklable_state(self):
-        # Delta capture never pickles, so the opaque object costs nothing.
-        population = self._sweep(use_delta_snapshots=True)
+        def factory():
+            instance = build_scenario("toy-closed-loop", broken_ttf=True)
+            # The advanced controller is a hook-less FunctionNode, so its
+            # state goes through the generic deep-copy capture.
+            instance.system.modules[0].spec.advanced.opaque_handle = _Unpicklable()
+            return instance
+
+        population = self._population(factory)
+        _Unpicklable.copies = 0
+        self._sweep(factory, population)
+        assert _Unpicklable.copies > 0
         assert population.stats.pickle_fallbacks == 0
         assert population.stats.delta_restores > 0
+
+    def test_capture_failure_turns_the_sweep_dedup_only(self):
+        hooks = []
+
+        def factory():
+            instance = build_scenario("toy-closed-loop", broken_ttf=True)
+            decision = instance.system.modules[0].decision
+            hook = _CaptureBudget(decision.capture_delta_state, 8, population.stats)
+            decision.capture_delta_state = hook
+            hooks.append(hook)
+            return instance
+
+        population = self._population(factory)
+        self._sweep(factory, population)
+        serial_hook, hook = hooks
+        stats = population.stats
+        assert serial_hook.calls == 0
+        assert stats.pickle_fallbacks == 1
+        assert population.share_prefixes is False
+        # One failing capture and no capture attempt after it; live runs
+        # went on, but nothing was snapshotted or restored after the flip.
+        assert hook.calls == hook.budget + 1
+        before = hook.at_failure
+        assert stats.snapshots_taken == before.snapshots_taken > 0
+        assert stats.restores == before.restores > 0
+        assert stats.live_runs > before.live_runs
 
 
 class TestPopulationValidation:

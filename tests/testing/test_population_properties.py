@@ -8,13 +8,14 @@ depth, and violation placement — each swept by the serial
 :class:`~repro.testing.SystematicTester` and the
 :class:`~repro.testing.population.PopulationTester` under the same
 strategy.  Reports and coverage must match byte for byte on every one,
-with delta snapshots fuzzed on and off, prefix sharing fuzzed on and off,
-and both random and exhaustive strategies.  Between them the generated
-models exercise the trie split/compaction paths, eager snapshotting, the
-delta capture/restore chains and the adaptive scheduler on shapes no
+with prefix sharing fuzzed on and off, and both random and exhaustive
+strategies.  Between them the generated models exercise the trie
+split/compaction paths, eager snapshotting, the delta capture/restore
+chains up to the chain limit and the adaptive scheduler on shapes no
 hand-written scenario covers.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from repro.testing import (
     RandomStrategy,
     SystematicTester,
 )
+from repro.testing.population import DELTA_CHAIN_LIMIT
 from repro.testing.abstractions import AbstractEnvironment, NondeterministicNode
 from repro.testing.explorer import ModelInstance
 
@@ -154,9 +156,6 @@ def test_population_equals_serial_on_synthetic_scenario(seed):
         share_prefixes=bool(seed % 3),  # fuzz compact-only vs shared
         snapshot_after=1,
         snapshot_min_steps=1,
-        use_delta_snapshots=bool(seed % 2),  # fuzz delta vs whole-state
-        delta_chain_limit=1 + seed % 4,
-        adaptive_snapshots=bool((seed // 2) % 2),
     )
     serial_report = serial.explore()
     population_report = population.explore()
@@ -165,10 +164,10 @@ def test_population_equals_serial_on_synthetic_scenario(seed):
     assert population_keys == serial_keys
     assert population.coverage.counts == serial.coverage.counts
     assert population.stats.executions == len(serial_report.executions)
-    # Delta mode must actually stay on the delta path (no silent fallback
-    # to pickling): the tier-1 gate on the vectorized plane rides on it.
-    if bool(seed % 2):
-        assert population.stats.pickle_fallbacks == 0
+    # Snapshotting must stay on (no silent switch to dedup-only), and every
+    # restore is a delta restore.
+    assert population.stats.pickle_fallbacks == 0
+    assert population.stats.restores == population.stats.delta_restores
 
 
 def test_generator_produces_violating_and_safe_scenarios():
@@ -182,6 +181,24 @@ def test_generator_produces_violating_and_safe_scenarios():
         if len(outcomes) == 2:
             break
     assert outcomes == {True, False}
+
+
+class _ChainProbe(PopulationTester):
+    """Records delta-chain depths and full-vector refreshes at the limit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.max_depth = 0
+        self.refreshes = 0
+
+    def _take_delta_snapshot(self, *args):
+        parent = self._delta_parent
+        snapshot = super()._take_delta_snapshot(*args)
+        self.max_depth = max(self.max_depth, snapshot.depth)
+        if parent is not None and parent.depth == DELTA_CHAIN_LIMIT - 1:
+            assert snapshot.parent is None
+            self.refreshes += 1
+        return snapshot
 
 
 def test_generator_exercises_snapshot_and_delta_paths():
@@ -202,3 +219,19 @@ def test_generator_exercises_snapshot_and_delta_paths():
     assert taken > 0
     assert restored > 0
     assert chained > 0
+    # The generated horizons are too short for a chain to outgrow the
+    # limit, so stretch them: some sweep must then chain deltas up to
+    # DELTA_CHAIN_LIMIT and refresh with a full vector, never beyond.
+    max_depth = refreshes = 0
+    for seed in range(0, 40):
+        population = _ChainProbe(
+            lambda: dataclasses.replace(_synthetic_instance(seed), horizon=3.0),
+            RandomStrategy(seed=5, max_executions=64),
+            snapshot_after=1,
+            snapshot_min_steps=1,
+        )
+        population.explore()
+        max_depth = max(max_depth, population.max_depth)
+        refreshes += population.refreshes
+    assert max_depth == DELTA_CHAIN_LIMIT - 1
+    assert refreshes > 0
