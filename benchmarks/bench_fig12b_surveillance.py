@@ -7,9 +7,15 @@ advanced controller is in control for most of the mission and the drone
 never collides even when it deviates from the reference.  The benchmark
 flies randomized surveillance missions over the city with the RTA-protected
 stack and reports disengagements, AC-in-control fraction, and safety.
+
+The campaign's wall time is gated (``fig12b/surveillance-campaign``): it
+is the one gated benchmark that flies the plant, the exact collision
+geometry and grid A* end to end.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -39,14 +45,16 @@ def _mission(seed: int, tracker: str = "learned"):
 
 
 @pytest.mark.benchmark(group="fig12b")
-def test_fig12b_rta_protected_surveillance(benchmark, table_printer):
+def test_fig12b_rta_protected_surveillance(benchmark, table_printer, benchmark_gate):
     def campaign():
         missions = CampaignMetrics()
         for seed in SEEDS:
             missions.add(_mission(seed))
         return missions
 
+    started = time.perf_counter()
     campaign_metrics = benchmark.pedantic(campaign, rounds=1, iterations=1)
+    benchmark_gate("fig12b/surveillance-campaign", time.perf_counter() - started)
     rows = []
     for index, mission in enumerate(campaign_metrics.missions):
         rows.append(

@@ -298,21 +298,18 @@ class ClearanceField:
         """
         self._check_freshness()
         pts = points_as_array(points)
-        res = self.resolution
-        cells = np.floor(pts / res).astype(int)
+        cells = np.floor(pts / self.resolution).astype(int)
         dense = self._dense
         if dense is not None:
-            origin = np.array(self._dense_origin, dtype=int)
-            indices = cells - origin
-            shape = np.array(dense.shape, dtype=int)
-            on_grid = np.all((indices >= 0) & (indices < shape), axis=1)
-            if on_grid.all():
-                self.stats.dense_hits += int(on_grid.sum())
-                return dense[indices[:, 0], indices[:, 1], indices[:, 2]].astype(float)
+            indices = cells - self._dense_origin
+            on_grid = ((indices >= 0) & (indices < dense.shape)).all(axis=1)
+            hits = int(on_grid.sum())
+            self.stats.dense_hits += hits
+            if hits == on_grid.size:
+                return dense[indices[:, 0], indices[:, 1], indices[:, 2]]
             out = np.empty(cells.shape[0], dtype=float)
             picked = indices[on_grid]
             out[on_grid] = dense[picked[:, 0], picked[:, 1], picked[:, 2]]
-            self.stats.dense_hits += int(on_grid.sum())
             off = np.flatnonzero(~on_grid)
             out[off] = self._lazy_bounds([tuple(cells[row]) for row in off])
             return out

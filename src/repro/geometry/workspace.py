@@ -26,17 +26,14 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .shapes import (
-    AABB,
-    any_box_contains_batch,
-    min_distance_to_boxes,
-    min_distance_to_boxes_batch,
-    points_as_array,
-)
+from .shapes import AABB, points_as_array
 from .vec import Vec3
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .clearance import ClearanceField
+
+#: One obstacle as plain floats: ``(lo.x, lo.y, lo.z, hi.x, hi.y, hi.z)``.
+BoxTuple = Tuple[float, float, float, float, float, float]
 
 
 @dataclass
@@ -60,6 +57,7 @@ class Workspace:
         # the obstacle count so direct ``add_obstacle`` calls invalidate
         # them; they must never be shared between workspaces.
         self._obstacle_array_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._obstacle_tuple_cache: Optional[Tuple[int, Tuple[BoxTuple, ...]]] = None
         self._clearance_field_cache: Optional[Tuple[int, float, "ClearanceField"]] = None
 
     def _check_obstacle(self, obstacle: AABB) -> None:
@@ -87,6 +85,23 @@ class Workspace:
             cache = (len(self.obstacles), lo, hi)
             self._obstacle_array_cache = cache
         return cache[1], cache[2]
+
+    def obstacle_tuples(self) -> Tuple[BoxTuple, ...]:
+        """Flat ``(lo.x, lo.y, lo.z, hi.x, hi.y, hi.z)`` per obstacle (cached).
+
+        The scalar collision queries loop over these plain floats instead of
+        the :class:`AABB`/:class:`Vec3` objects, so a query allocates
+        nothing per box.  Keyed on the obstacle count like
+        :meth:`obstacle_arrays`.
+        """
+        cache = self._obstacle_tuple_cache
+        if cache is None or cache[0] != len(self.obstacles):
+            boxes = tuple(
+                (o.lo.x, o.lo.y, o.lo.z, o.hi.x, o.hi.y, o.hi.z) for o in self.obstacles
+            )
+            cache = (len(self.obstacles), boxes)
+            self._obstacle_tuple_cache = cache
+        return cache[1]
 
     def clearance_field(self, resolution: float = 0.5) -> "ClearanceField":
         """The lazily built, cached :class:`ClearanceField` of this workspace.
@@ -123,24 +138,81 @@ class Workspace:
         )
 
     def in_obstacle(self, point: Vec3, margin: float = 0.0) -> bool:
-        """True if ``point`` is inside (or within ``margin`` of) any obstacle."""
-        return any(obstacle.contains(point, margin=margin) for obstacle in self.obstacles)
+        """True if ``point`` is inside (or within ``margin`` of) any obstacle.
+
+        The comparisons are :meth:`AABB.contains`'s, over the flat
+        :meth:`obstacle_tuples`.
+        """
+        x, y, z = point.x, point.y, point.z
+        for lx, ly, lz, hx, hy, hz in self.obstacle_tuples():
+            if (
+                lx - margin <= x <= hx + margin
+                and ly - margin <= y <= hy + margin
+                and lz - margin <= z <= hz + margin
+            ):
+                return True
+        return False
 
     def is_free(self, point: Vec3, margin: float = 0.0) -> bool:
         """True if ``point`` is inside bounds and not within ``margin`` of an obstacle."""
         return self.in_bounds(point) and not self.in_obstacle(point, margin=margin)
 
     def segment_is_free(self, seg_a: Vec3, seg_b: Vec3, margin: float = 0.0) -> bool:
-        """True if the straight segment between the endpoints avoids all obstacles."""
+        """True if the straight segment between the endpoints avoids all obstacles.
+
+        Runs :meth:`AABB.segment_intersects`'s slab test (same expressions,
+        same ``1e-12`` parallel case, boxes inflated to ``lo - margin`` /
+        ``hi + margin``) over the flat :meth:`obstacle_tuples`.
+        """
         if not (self.in_bounds(seg_a) and self.in_bounds(seg_b)):
             return False
-        return not any(
-            obstacle.segment_intersects(seg_a, seg_b, margin=margin) for obstacle in self.obstacles
-        )
+        origin = (seg_a.x, seg_a.y, seg_a.z)
+        delta = (seg_b.x - seg_a.x, seg_b.y - seg_a.y, seg_b.z - seg_a.z)
+        for box in self.obstacle_tuples():
+            if margin != 0.0:
+                box = _inflated(box, margin)
+            t_min, t_max = 0.0, 1.0
+            for axis in (0, 1, 2):
+                o = origin[axis]
+                d = delta[axis]
+                lo = box[axis]
+                hi = box[axis + 3]
+                if abs(d) < 1e-12:
+                    if o < lo or o > hi:
+                        break
+                    continue
+                t1 = (lo - o) / d
+                t2 = (hi - o) / d
+                if t1 > t2:
+                    t1, t2 = t2, t1
+                if t1 > t_min:
+                    t_min = t1
+                if t2 < t_max:
+                    t_max = t2
+                if t_min > t_max:
+                    break
+            else:
+                return False
+        return True
 
     def distance_to_nearest_obstacle(self, point: Vec3) -> float:
-        """Distance to the nearest obstacle surface (inf if there are none)."""
-        return min_distance_to_boxes(point, self.obstacles)
+        """Distance to the nearest obstacle surface (inf if there are none).
+
+        :meth:`AABB.distance_to_point` over the flat :meth:`obstacle_tuples`:
+        the same per-axis ``min(max())`` clamp and
+        ``sqrt(dx*dx + dy*dy + dz*dz)``, so the value is bit-identical.
+        """
+        x, y, z = point.x, point.y, point.z
+        sqrt = math.sqrt
+        best = math.inf
+        for lx, ly, lz, hx, hy, hz in self.obstacle_tuples():
+            dx = x - min(max(x, lx), hx)
+            dy = y - min(max(y, ly), hy)
+            dz = z - min(max(z, lz), hz)
+            distance = sqrt(dx * dx + dy * dy + dz * dz)
+            if distance < best:
+                best = distance
+        return best
 
     def distance_to_boundary(self, point: Vec3, include_floor: bool = False) -> float:
         """Distance from ``point`` to the workspace boundary (negative if outside).
@@ -172,18 +244,30 @@ class Workspace:
         """Vectorised :meth:`in_bounds` over an ``(N, 3)`` point array."""
         pts = points_as_array(points)
         lo, hi = self.bounds.lo, self.bounds.hi
-        return (
-            (pts[:, 0] >= lo.x + margin)
-            & (pts[:, 0] <= hi.x - margin)
-            & (pts[:, 1] >= lo.y + margin)
-            & (pts[:, 1] <= hi.y - margin)
-            & (pts[:, 2] >= lo.z + margin)
-            & (pts[:, 2] <= hi.z - margin)
-        )
+        low = np.array((lo.x + margin, lo.y + margin, lo.z + margin))
+        high = np.array((hi.x - margin, hi.y - margin, hi.z - margin))
+        return ((pts >= low) & (pts <= high)).all(axis=1)
 
     def in_obstacle_batch(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """Vectorised :meth:`in_obstacle` over an ``(N, 3)`` point array."""
-        return any_box_contains_batch(points, self.obstacles, margin=margin)
+        """Vectorised :meth:`in_obstacle` over an ``(N, 3)`` point array.
+
+        One ``(M, N)`` comparison per axis bound against the cached
+        obstacle corners, grown to ``lo - margin`` / ``hi + margin``
+        exactly as :meth:`AABB.contains` grows them, so answers are
+        bit-identical.
+        """
+        pts = points_as_array(points)
+        lo, hi = self.obstacle_arrays()  # (M, 3)
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+        inside = (
+            (x >= lo[:, 0:1] - margin)
+            & (x <= hi[:, 0:1] + margin)
+            & (y >= lo[:, 1:2] - margin)
+            & (y <= hi[:, 1:2] + margin)
+            & (z >= lo[:, 2:3] - margin)
+            & (z <= hi[:, 2:3] + margin)
+        )
+        return inside.any(axis=0)
 
     def is_free_batch(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Vectorised :meth:`is_free` over an ``(N, 3)`` point array."""
@@ -299,6 +383,16 @@ class Workspace:
     def clamp(self, point: Vec3) -> Vec3:
         """Clamp ``point`` into the workspace bounds."""
         return self.bounds.clamp(point)
+
+
+def _inflated(box: BoxTuple, margin: float) -> BoxTuple:
+    """:meth:`AABB.inflate` on a flat box tuple (raises on a collapsed box)."""
+    lx, ly, lz, hx, hy, hz = box
+    lo = (lx - margin, ly - margin, lz - margin)
+    hi = (hx + margin, hy + margin, hz + margin)
+    if lo[0] > hi[0] or lo[1] > hi[1] or lo[2] > hi[2]:
+        raise ValueError("inflate with a negative margin collapsed the box")
+    return lo + hi
 
 
 def grid_city_workspace(

@@ -20,6 +20,9 @@ from .plan import Plan
 
 Cell = Tuple[int, int]
 
+#: The 8-connected moves, in :meth:`OccupancyGrid.neighbors` order.
+_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
+
 
 @dataclass
 class GridAStarPlanner:
@@ -39,6 +42,12 @@ class GridAStarPlanner:
         self.grid = OccupancyGrid.from_workspace(
             self.workspace, resolution=self.resolution, inflate=self.clearance, altitude=self.altitude
         )
+        # Occupancy as nested Python lists: a neighbour test reads a bool
+        # instead of a numpy scalar.
+        self._occupied_rows = self.grid.occupied.tolist()
+        # (di, dj, step cost) per move; hypot ignores sign, so each cost is
+        # exactly the distance between a cell and that neighbour.
+        self._moves = tuple((di, dj, math.hypot(di, dj) * self.resolution) for di, dj in _MOVES)
 
     # ------------------------------------------------------------------ #
     # planning
@@ -56,31 +65,48 @@ class GridAStarPlanner:
         return Plan(waypoints=tuple(waypoints), goal=goal, planner=self.name, created_at=created_at)
 
     def _search(self, start: Cell, goal: Cell) -> Optional[List[Cell]]:
+        """A* over the free cells; step cost and heuristic are the metric cell distance.
+
+        Out-of-grid and occupied neighbours are skipped, and each step cost
+        and heuristic is ``hypot(di, dj) * resolution`` exactly as
+        :meth:`OccupancyGrid.neighbors` + a cell-distance helper would give
+        them, so heap pushes — and plans — match the neighbour-list search.
+        """
+        occupied = self._occupied_rows
+        nx, ny = self.grid.shape
+        moves = self._moves
+        resolution = self.resolution
+        hypot = math.hypot
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        inf = math.inf
+        goal_i, goal_j = goal
         open_heap: List[Tuple[float, Cell]] = [(0.0, start)]
         came_from: Dict[Cell, Cell] = {}
         g_score: Dict[Cell, float] = {start: 0.0}
         closed: set = set()
         while open_heap:
-            _, current = heapq.heappop(open_heap)
+            _, current = heappop(open_heap)
             if current in closed:
                 continue
             if current == goal:
                 return self._reconstruct(came_from, current)
             closed.add(current)
-            for neighbor in self.grid.neighbors(current, diagonal=True):
-                if self.grid.is_occupied_cell(neighbor) or neighbor in closed:
+            ci, cj = current
+            g_current = g_score[current]
+            for di, dj, step in moves:
+                ni = ci + di
+                nj = cj + dj
+                neighbor = (ni, nj)
+                if not (0 <= ni < nx and 0 <= nj < ny) or occupied[ni][nj] or neighbor in closed:
                     continue
-                step = self._distance(current, neighbor)
-                tentative = g_score[current] + step
-                if tentative < g_score.get(neighbor, math.inf):
+                tentative = g_current + step
+                if tentative < g_score.get(neighbor, inf):
                     g_score[neighbor] = tentative
                     came_from[neighbor] = current
-                    priority = tentative + self._distance(neighbor, goal)
-                    heapq.heappush(open_heap, (priority, neighbor))
+                    priority = tentative + hypot(ni - goal_i, nj - goal_j) * resolution
+                    heappush(open_heap, (priority, neighbor))
         return None
-
-    def _distance(self, a: Cell, b: Cell) -> float:
-        return math.hypot(a[0] - b[0], a[1] - b[1]) * self.resolution
 
     @staticmethod
     def _reconstruct(came_from: Dict[Cell, Cell], current: Cell) -> List[Cell]:

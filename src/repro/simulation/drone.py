@@ -5,10 +5,25 @@ of the paper's evaluation.  It advances the selected dynamics model with
 the currently commanded control, drains the battery, and detects
 collisions against the workspace — the ground truth the mission metrics
 are computed from.
+
+Broad phase
+-----------
+Clearance is 1-Lipschitz, so a step from ``prev`` to ``pos`` cannot touch
+any obstacle inflated by the collision margin ``m`` while
+``clearance(prev) > |pos - prev| + √3·m`` (a point inside a box grown by
+``m`` on every face lies within ``√3·m`` of the box).  Each physics step
+first asks the workspace's :class:`~repro.geometry.clearance.ClearanceField`
+whether its cached lower bound proves that; only steps it cannot certify
+run the exact containment and segment tests.  The running minimum
+clearance is skipped the same way when the bound at ``pos`` already
+exceeds it.  Every skipped test would have returned the answer the
+certificate implies, so the plant's trajectory, collision flag and
+``min_clearance`` are bit-identical to running every exact query.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,6 +35,15 @@ from ..dynamics import (
     DynamicsModel,
 )
 from ..geometry import Vec3, Workspace
+
+
+#: Slack on the broad-phase certificate, far above the exact tests' own
+#: tolerances (the slab test's ``1e-12`` parallel case, rounding in the
+#: inflated bounds), so a certified step can never be one they would flag.
+BROAD_PHASE_SLACK = 1e-9
+
+#: A point inside a box grown by ``m`` on every face is within ``√3·m`` of it.
+_SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -65,6 +89,14 @@ class DronePlant:
         self._initial_charge = initial_charge
         self.collision_margin = collision_margin
         self.ground_altitude = ground_altitude
+        # The broad phase's cached clearance bounds; the field drops them
+        # itself when the workspace grows an obstacle.
+        self._field = workspace.clearance_field()
+        # The exact clearance of ``_clearance_state`` while the workspace
+        # has ``_clearance_obstacles`` obstacles.
+        self._clearance_state: Optional[DroneState] = None
+        self._clearance_obstacles = 0
+        self._clearance_value = math.inf
         self.reset()
 
     def reset(self) -> None:
@@ -82,7 +114,7 @@ class DronePlant:
         self.battery_failed = False
         self.distance_flown = 0.0
         self.time = 0.0
-        self.min_clearance = self.workspace.clearance(self.state.position)
+        self.min_clearance = self.clearance
 
     # ------------------------------------------------------------------ #
     # plant evolution
@@ -111,21 +143,32 @@ class DronePlant:
                 position=self.state.position.with_z(0.0),
                 velocity=Vec3(self.state.velocity.x, self.state.velocity.y, 0.0),
             )
-        self.distance_flown += previous_position.distance_to(self.state.position)
+        step = previous_position.distance_to(self.state.position)
+        self.distance_flown += step
         self.battery = self.battery_model.step(self.battery, command, dt)
         if self.battery.depleted and self.airborne:
             # Latch the failure: running out of charge in the air is a crash
             # (φ_bat violation) even though the drone subsequently falls to
             # the ground.
             self.battery_failed = True
-        self._update_collision(previous_position)
-        self.min_clearance = min(self.min_clearance, self.clearance)
+        self._update_collision(previous_position, step)
+        # A bound above the running minimum leaves it unchanged.
+        if not self._field.decides_above(self.state.position, self.min_clearance):
+            self.min_clearance = min(self.min_clearance, self.clearance)
 
-    def _update_collision(self, previous_position: Vec3) -> None:
+    def _update_collision(self, previous_position: Vec3, step: float) -> None:
         position = self.state.position
         # Only collisions while airborne count: sitting on the ground is fine.
         if not self.airborne:
             return
+        if (
+            self.workspace.in_bounds(previous_position)
+            and self.workspace.in_bounds(position)
+            and self._field.decides_above(
+                previous_position, step + _SQRT3 * self.collision_margin + BROAD_PHASE_SLACK
+            )
+        ):
+            return  # certified: no point of the step is near an obstacle
         hit_obstacle = self.workspace.in_obstacle(position, margin=self.collision_margin)
         out_of_bounds = not self.workspace.in_bounds(position)
         crossed = not self.workspace.segment_is_free(previous_position, position)
@@ -144,8 +187,18 @@ class DronePlant:
 
     @property
     def clearance(self) -> float:
-        """Current clearance to the nearest obstacle or boundary."""
-        return self.workspace.clearance(self.state.position)
+        """Current clearance to the nearest obstacle or boundary.
+
+        Memoised per state object (and obstacle count), so the simulator's
+        trace sample reuses the value :meth:`apply` computed.
+        """
+        state = self.state
+        obstacles = len(self.workspace.obstacles)
+        if state is not self._clearance_state or obstacles != self._clearance_obstacles:
+            self._clearance_value = self.workspace.clearance(state.position)
+            self._clearance_state = state
+            self._clearance_obstacles = obstacles
+        return self._clearance_value
 
     @property
     def crashed(self) -> bool:
