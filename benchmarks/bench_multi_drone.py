@@ -13,7 +13,7 @@ Quantifies the two halves of the multi-drone PR:
   :class:`~repro.core.monitor.SeparationMonitor` window of S samples ×
   N vehicles flushed through one batched N² query
   (:func:`~repro.geometry.pairwise_separations`) versus the scalar
-  pairwise loop.  Violation sequences must be identical (the batch plane
+  pairwise loop (``tests.oracles.monitors.ScalarSeparationMonitor``).  Violation sequences must be identical (the batch plane
   is bit-exact by construction) and the batched flush at least 2x faster
   (≈4x measured on the reference machine).
 
@@ -32,6 +32,7 @@ from repro.core import MonitorSuite, SeparationMonitor
 from repro.dynamics import DroneState
 from repro.geometry import Vec3
 from repro.testing import RandomStrategy, SystematicTester, scenario_factory
+from tests.oracles.monitors import ScalarSeparationMonitor
 
 FLEET_SIZES = (1, 2, 3)
 SWEEP_EXECUTIONS = 60
@@ -130,10 +131,8 @@ def _separation_window():
     return topics, samples
 
 
-def _flush_window(topics, samples, use_batch: bool):
-    monitor = SeparationMonitor(
-        topics, min_separation=SEPARATION_MINIMUM, use_batch=use_batch
-    )
+def _flush_window(topics, samples, monitor_class):
+    monitor = monitor_class(topics, min_separation=SEPARATION_MINIMUM)
     suite = MonitorSuite([monitor])
     engine = _StubEngine()
     for sample_time, values in samples:
@@ -152,11 +151,11 @@ def test_separation_batched_vs_scalar(table_printer, benchmark_gate):
     topics, samples = _separation_window()
     pair_count = SEPARATION_VEHICLES * (SEPARATION_VEHICLES - 1) // 2
     scalar_wall, scalar_violations = min(
-        (_flush_window(topics, samples, use_batch=False) for _ in range(SEPARATION_REPEATS)),
+        (_flush_window(topics, samples, ScalarSeparationMonitor) for _ in range(SEPARATION_REPEATS)),
         key=lambda result: result[0],
     )
     batched_wall, batched_violations = min(
-        (_flush_window(topics, samples, use_batch=True) for _ in range(SEPARATION_REPEATS)),
+        (_flush_window(topics, samples, SeparationMonitor) for _ in range(SEPARATION_REPEATS)),
         key=lambda result: result[0],
     )
     assert batched_violations == scalar_violations, (

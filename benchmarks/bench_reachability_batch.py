@@ -18,6 +18,11 @@ Expectations (asserted):
   brushfire Dijkstra and matches it within floating-point rounding;
 * the explorer's executions/s on the ``drone-surveillance`` sweep improve
   over the pre-PR configuration (uncached plane, per-step monitors).
+
+The scalar and pre-PR legs run the reference implementations kept in
+``tests/oracles/``: the per-cell rasterisation, the brushfire Dijkstra,
+and :class:`~tests.oracles.clearance.ExactClearanceField` on a private
+world, so they never touch a warm clearance cache.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from repro.geometry.vec import Vec3
 from repro.reachability import WorstCaseReachability, states_as_arrays
 from repro.simulation import surveillance_city
 from repro.testing import RandomStrategy, SystematicTester, scenario_factory
+from tests.oracles import occupancy as occupancy_oracle
+from tests.oracles.clearance import ExactClearanceField, exact_scenarios
 
 POINTS = 2000
 REPEATS = 5
@@ -72,6 +79,7 @@ def test_batched_point_queries_speedup(benchmark, table_printer, benchmark_gate)
         DoubleIntegratorParams(max_speed=4.0, max_acceleration=6.0)
     )
     reach = WorstCaseReachability(model)
+    exact = ExactClearanceField(workspace)
 
     def measure():
         rows = []
@@ -87,13 +95,13 @@ def test_batched_point_queries_speedup(benchmark, table_printer, benchmark_gate)
         rows.append(("clearance", scalar_clearance, batch_clearance))
 
         scalar_reach = _timed(
-            lambda: [reach.may_leave_safe(s, workspace, 0.2, margin=0.05) for s in states]
+            lambda: [reach.may_leave_safe(s, exact, 0.2, margin=0.05) for s in states]
         )
         batch_reach = _timed(
             lambda: reach.may_leave_safe_batch(positions, speeds, workspace, 0.2, margin=0.05)
         )
         scalar_verdicts = np.array(
-            [reach.may_leave_safe(s, workspace, 0.2, margin=0.05) for s in states]
+            [reach.may_leave_safe(s, exact, 0.2, margin=0.05) for s in states]
         )
         assert (
             scalar_verdicts
@@ -102,7 +110,7 @@ def test_batched_point_queries_speedup(benchmark, table_printer, benchmark_gate)
         rows.append(("may_leave_safe (2Δ)", scalar_reach, batch_reach))
 
         scalar_switch = _timed(
-            lambda: [reach.must_switch(s, workspace, 0.2, margin=0.05) for s in states]
+            lambda: [reach.must_switch(s, exact, 0.2, margin=0.05) for s in states]
         )
         batch_switch = _timed(
             lambda: reach.must_switch_batch(positions, speeds, workspace, 0.2, margin=0.05)
@@ -140,21 +148,26 @@ def test_occupancy_grid_vectorisation_speedup(benchmark, table_printer, benchmar
 
     def measure():
         scalar_build = _timed(
-            lambda: OccupancyGrid._from_workspace_scalar(workspace, resolution=resolution),
+            lambda: occupancy_oracle.from_workspace_scalar(workspace, resolution=resolution),
             repeats=2,
         )
         batch_build = _timed(
             lambda: OccupancyGrid.from_workspace(workspace, resolution=resolution), repeats=2
         )
         grid = OccupancyGrid.from_workspace(workspace, resolution=resolution)
-        reference = OccupancyGrid._from_workspace_scalar(workspace, resolution=resolution)
+        reference = occupancy_oracle.from_workspace_scalar(workspace, resolution=resolution)
         assert (grid.occupied == reference.occupied).all(), (
             "vectorised rasterisation must mark exactly the scalar loop's cells"
         )
-        dijkstra = _timed(grid._distance_to_occupied_dijkstra, repeats=2)
+        dijkstra = _timed(
+            lambda: occupancy_oracle.distance_to_occupied_dijkstra(grid), repeats=2
+        )
         chamfer = _timed(grid.distance_to_occupied, repeats=2)
         assert np.allclose(
-            grid.distance_to_occupied(), grid._distance_to_occupied_dijkstra(), rtol=1e-9, atol=1e-9
+            grid.distance_to_occupied(),
+            occupancy_oracle.distance_to_occupied_dijkstra(grid),
+            rtol=1e-9,
+            atol=1e-9,
         ), "chamfer transform must match the Dijkstra brushfire"
         return scalar_build, batch_build, dijkstra, chamfer, grid.shape
 
@@ -177,10 +190,8 @@ def test_occupancy_grid_vectorisation_speedup(benchmark, table_printer, benchmar
     assert dijkstra / chamfer >= 5.0
 
 
-def _sweep(use_query_cache: bool, monitor_window: int) -> float:
-    factory = scenario_factory(
-        "drone-surveillance", horizon=HORIZON, use_query_cache=use_query_cache
-    )
+def _sweep(monitor_window: int) -> float:
+    factory = scenario_factory("drone-surveillance", horizon=HORIZON)
     tester = SystematicTester(
         factory,
         strategy=RandomStrategy(seed=SEED, max_executions=SWEEP_EXECUTIONS),
@@ -199,9 +210,10 @@ def test_explorer_throughput_improves(benchmark, table_printer, benchmark_gate):
     """The point of the refactor: more explored executions per second."""
 
     def measure():
-        legacy = _sweep(use_query_cache=False, monitor_window=1)  # pre-PR configuration
-        cached = _sweep(use_query_cache=True, monitor_window=1)  # current defaults
-        windowed = _sweep(use_query_cache=True, monitor_window=64)  # opt-in windowing
+        with exact_scenarios():
+            legacy = _sweep(monitor_window=1)  # pre-PR configuration
+        cached = _sweep(monitor_window=1)  # current defaults
+        windowed = _sweep(monitor_window=64)  # opt-in windowing
         return legacy, cached, windowed
 
     legacy, cached, windowed = benchmark.pedantic(measure, rounds=1, iterations=1)

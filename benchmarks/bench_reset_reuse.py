@@ -10,7 +10,8 @@ Quantifies the two halves of the reset-and-reuse PR:
   baseline recorded in ``benchmark_reference.json`` at PR 2 time.
 
 * **Well-formedness falsification** — P2a/P2b/P3 of the motion-primitive
-  module validated by sampling, scalar loops versus the batched plane
+  module validated by sampling, scalar loops (the closed-loop model behind
+  ``tests.oracles.checker.HooklessClosedLoop``) versus the batched plane
   (structure-of-arrays SC rollouts through ``command_batch``/
   ``step_batch``, one-shot ``may_leave_safe_batch``).  The acceptance bar
   is ≥ 10x with check verdicts identical to the scalar loops.
@@ -32,6 +33,7 @@ from repro.core import CheckerOptions, WellFormednessChecker
 from repro.dynamics import BoundedDoubleIntegrator, DoubleIntegratorParams
 from repro.simulation import surveillance_city
 from repro.testing import RandomStrategy, SystematicTester, scenario_factory
+from tests.oracles.checker import HooklessClosedLoop
 
 #: The PR 2 fresh-build baseline: the "reachability-batch/explorer-sweep"
 #: reference wall time recorded in benchmark_reference.json when PR 2
@@ -95,7 +97,7 @@ def test_explorer_reset_reuse_throughput(table_printer, benchmark_gate):
     assert reset <= fresh * 1.05, "reset-and-reuse should never lose to fresh builds"
 
 
-def _falsification_pass(use_batch: bool):
+def _falsification_pass(batched: bool):
     world = surveillance_city()
     model = BoundedDoubleIntegrator(
         DoubleIntegratorParams(max_speed=4.0, max_acceleration=6.0)
@@ -105,13 +107,12 @@ def _falsification_pass(use_batch: bool):
         module, model, world.workspace, seed=FALSIFICATION_SEED
     )
     checker = WellFormednessChecker(
-        closed_loop,
+        closed_loop if batched else HooklessClosedLoop(closed_loop),
         CheckerOptions(
             samples=FALSIFICATION_SAMPLES,
             p2a_horizon=FALSIFICATION_HORIZON,
             p2b_max_time=FALSIFICATION_HORIZON,
             trust_certificates=False,
-            use_batch=use_batch,
         ),
     )
     timings = {}
@@ -130,8 +131,8 @@ def _falsification_pass(use_batch: bool):
 @pytest.mark.benchmark(group="reset-reuse")
 def test_wellformed_batched_falsification(table_printer, benchmark_gate):
     """Batched P2a/P2b/P3 ≥ 10x the scalar loops, identical verdicts."""
-    scalar_results, scalar_times = _falsification_pass(use_batch=False)
-    batch_results, batch_times = _falsification_pass(use_batch=True)
+    scalar_results, scalar_times = _falsification_pass(batched=False)
+    batch_results, batch_times = _falsification_pass(batched=True)
     for name in ("P2a", "P2b", "P3"):
         scalar, batch = scalar_results[name], batch_results[name]
         assert (scalar.passed, scalar.evidence, scalar.detail) == (

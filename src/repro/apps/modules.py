@@ -54,15 +54,7 @@ from .topics import (
 # --------------------------------------------------------------------------- #
 @dataclass
 class MotionPrimitiveModuleConfig:
-    """Tunables of the RTA-protected motion primitive.
-
-    ``use_query_cache`` routes every clearance threshold check of the
-    module (φ_safe, φ_safer, ``ttf_2Δ``, the safe tracker's urgency law)
-    through the workspace's shared :class:`~repro.geometry.ClearanceField`.
-    Decisions are bit-for-bit identical either way; the flag exists so
-    equivalence tests and benchmarks can compare the cached and uncached
-    planes.
-    """
+    """Tunables of the RTA-protected motion primitive."""
 
     delta: float = 0.1
     node_period: float = 0.05
@@ -73,7 +65,6 @@ class MotionPrimitiveModuleConfig:
     plan_topic: str = ACTIVE_PLAN_TOPIC
     position_topic: str = POSITION_TOPIC
     command_topic: str = COMMAND_TOPIC
-    use_query_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.delta <= 0.0 or self.node_period <= 0.0:
@@ -129,26 +120,21 @@ def build_safe_motion_primitive(
     # safety-query plane: the cached ClearanceField answers the common
     # far-from-obstacle case from its memo, the batch predicates let the
     # monitors evaluate whole sample windows in one vectorised call.
-    field = workspace.clearance_field() if config.use_query_cache else None
-
-    def _clearance_exceeds(position: Vec3, threshold: float) -> bool:
-        if field is not None:
-            return field.exceeds(position, threshold)
-        return workspace.clearance(position) > threshold
+    field = workspace.clearance_field()
 
     def _positions(states: Sequence[DroneState]):
         return [s.position.as_tuple() for s in states]
 
     safe_spec: SafetySpec[DroneState] = SafetySpec(
         name="phi_obs",
-        predicate=lambda state: _clearance_exceeds(state.position, config.collision_margin),
+        predicate=lambda state: field.exceeds(state.position, config.collision_margin),
         description="the drone is outside every obstacle and inside the workspace",
         batch_predicate=lambda states: workspace.clearance_batch(_positions(states))
         > config.collision_margin,
     )
     safer_spec: SafetySpec[DroneState] = SafetySpec(
         name="phi_obs_safer",
-        predicate=lambda state: _clearance_exceeds(state.position, safer_clearance),
+        predicate=lambda state: field.exceeds(state.position, safer_clearance),
         description=f"clearance exceeds the 2Δ worst-case travel distance ({safer_clearance:.2f} m)",
         batch_predicate=lambda states: workspace.clearance_batch(_positions(states))
         > safer_clearance,
@@ -160,13 +146,12 @@ def build_safe_motion_primitive(
         # (the value-function-style switching surface; see
         # WorstCaseReachability.unavoidable_travel_radius).
         radius = reach.unavoidable_travel_radius(state, two_delta) + config.ttf_margin
-        return not _clearance_exceeds(state.position, radius + config.collision_margin)
+        return not field.exceeds(state.position, radius + config.collision_margin)
 
     safe_tracker = SafeWaypointTracker(
         params=tracker_params,
         workspace=workspace,
         recovery_clearance=safer_clearance + 0.3,
-        clearance_field=field,
     )
     advanced_node = MotionPrimitiveNode(
         name=f"{name}.ac",
@@ -363,7 +348,10 @@ class DroneClosedLoopModel:
 
     def worst_case_stays_safe(self, state: DroneState, horizon: float) -> bool:
         return not self.reach.may_leave_safe(
-            state, self.workspace, horizon, margin=self.module.config.collision_margin
+            state,
+            self.workspace.clearance_field(),
+            horizon,
+            margin=self.module.config.collision_margin,
         )
 
     def worst_case_stays_safe_batch(self, states: Sequence[DroneState], horizon: float):

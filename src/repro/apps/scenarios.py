@@ -106,15 +106,13 @@ def build_drone_surveillance(
     horizon: float = 1.0,
     environment_period: float = 0.25,
     seed: int = 0,
-    use_query_cache: bool = True,
 ) -> ModelInstance:
-    world = _shared_world() if use_query_cache else surveillance_city()
+    world = _shared_world()
     config = StackConfig(
         world=world,
         planner="straight",
         protect_battery=False,
         protect_motion_primitive=True,
-        use_query_cache=use_query_cache,
         seed=seed,
     )
     model = build_discrete_model(config)
@@ -466,7 +464,6 @@ def build_rare_branch_geofence(
     horizon: float = 0.5,
     environment_period: float = 0.25,
     seed: int = 0,
-    use_query_cache: bool = True,
 ) -> ModelInstance:
     world = _pillar_world()
     config = StackConfig(
@@ -474,7 +471,6 @@ def build_rare_branch_geofence(
         planner="straight",
         protect_battery=True,
         protect_motion_primitive=True,
-        use_query_cache=use_query_cache,
         seed=seed,
     )
     model = build_discrete_model(config)
@@ -521,15 +517,13 @@ def build_deep_menu_surveillance(
     horizon: float = 0.5,
     environment_period: float = 0.25,
     seed: int = 0,
-    use_query_cache: bool = True,
 ) -> ModelInstance:
-    world = _shared_world() if use_query_cache else surveillance_city()
+    world = _shared_world()
     config = StackConfig(
         world=world,
         planner="straight",
         protect_battery=True,
         protect_motion_primitive=True,
-        use_query_cache=use_query_cache,
         seed=seed,
     )
     model = build_discrete_model(config)
@@ -564,7 +558,7 @@ def build_deep_menu_surveillance(
 _RENDEZVOUS_INDEX = 8
 
 
-def _fleet_base_config(world, seed: int, use_query_cache: bool) -> StackConfig:
+def _fleet_base_config(world, seed: int) -> StackConfig:
     """The per-vehicle stack configuration all fleet scenarios share.
 
     Identical to ``drone-surveillance``'s configuration, which is what
@@ -576,7 +570,6 @@ def _fleet_base_config(world, seed: int, use_query_cache: bool) -> StackConfig:
         planner="straight",
         protect_battery=False,
         protect_motion_primitive=True,
-        use_query_cache=use_query_cache,
         seed=seed,
     )
 
@@ -602,19 +595,16 @@ def build_multi_drone_surveillance(
     horizon: float = 1.0,
     environment_period: float = 0.25,
     seed: int = 0,
-    use_query_cache: bool = True,
     min_separation: float = 2.0,
-    use_batch_separation: bool = True,
 ) -> ModelInstance:
     if drones < 1:
         raise ValueError("the fleet needs at least one drone")
-    world = _shared_world() if use_query_cache else surveillance_city()
-    base = _fleet_base_config(world, seed, use_query_cache)
+    world = _shared_world()
+    base = _fleet_base_config(world, seed)
     fleet = FleetConfig(
         vehicles=fleet_configs(drones, base),
         name="multi-drone-surveillance",
         min_separation=min_separation,
-        use_batch_separation=use_batch_separation,
     )
     model = build_fleet_discrete_model(fleet)
     points = world.surveillance_points
@@ -662,14 +652,13 @@ def build_multi_drone_crossing(
     environment_period: float = 0.25,
     seed: int = 0,
     min_separation: float = 2.0,
-    use_batch_separation: bool = True,
 ) -> ModelInstance:
     world = _shared_world()
     altitude = world.cruise_altitude
     crossing = Vec3(18.5, 18.5, altitude)  # free street intersection
     east_west = [Vec3(4.0, 18.5, altitude), crossing, Vec3(31.5, 18.5, altitude)]
     north_south = [Vec3(18.5, 4.0, altitude), crossing, Vec3(18.5, 31.5, altitude)]
-    base = _fleet_base_config(world, seed, use_query_cache=True)
+    base = _fleet_base_config(world, seed)
     vehicles = [
         replace(
             base,
@@ -684,7 +673,6 @@ def build_multi_drone_crossing(
         vehicles=vehicles,
         name="multi-drone-crossing",
         min_separation=min_separation,
-        use_batch_separation=use_batch_separation,
     )
     model = build_fleet_discrete_model(fleet)
     menus = {
@@ -719,13 +707,12 @@ def build_plant_surveillance(
     environment_period: float = 0.25,
     physics_dt: float = 0.05,
     seed: int = 0,
-    use_query_cache: bool = True,
     min_separation: float = 2.0,
 ) -> ModelInstance:
     if drones < 1:
         raise ValueError("the fleet needs at least one drone")
-    world = _shared_world() if use_query_cache else surveillance_city()
-    base = _fleet_base_config(world, seed, use_query_cache)
+    world = _shared_world()
+    base = _fleet_base_config(world, seed)
     if unsafe_start:
         # Vehicle 0 hovers half a metre west of the first building: two
         # consecutive +x gust windows out-accelerate the clamped control
@@ -924,14 +911,13 @@ def build_fault_injected_surveillance(
     horizon: float = 1.0,
     environment_period: float = 0.25,
     seed: int = 0,
-    use_query_cache: bool = True,
     tracker_windows=((0.0, 0.5), (0.5, 1.0)),
     tracker_kinds=("invert", "stuck", "crash"),
     include_position_faults: bool = True,
     position_windows=((0.25, 0.75),),
     position_kinds=("drop", "stuck", "delay"),
 ) -> ModelInstance:
-    world = _shared_world() if use_query_cache else surveillance_city()
+    world = _shared_world()
     tracker_site = FaultSite(
         kinds=tuple(tracker_kinds),
         windows=tuple(tracker_windows),
@@ -942,7 +928,6 @@ def build_fault_injected_surveillance(
         planner="straight",
         protect_battery=False,
         protect_motion_primitive=True,
-        use_query_cache=use_query_cache,
         seed=seed,
         tracker_fault_site=tracker_site,
     )

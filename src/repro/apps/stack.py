@@ -133,9 +133,6 @@ class StackConfig:
     safer_extra_margin: float = 0.5
     safe_speed_fraction: float = 0.35
     collision_margin: float = 0.05
-    # Route clearance checks through the cached/batched safety-query plane
-    # (bit-identical decisions; off only for equivalence tests/benchmarks).
-    use_query_cache: bool = True
     seed: int = 0
     # Sensor fault windows, sample-count based: ("stuck"|"stale"|"dropout",
     # first faulty sample, one-past-last faulty sample).  None = healthy.
@@ -373,7 +370,6 @@ def _assemble_program(config: StackConfig) -> AssembledProgram:
                 collision_margin=config.collision_margin,
                 safer_extra_margin=config.safer_extra_margin,
                 safe_speed_fraction=config.safe_speed_fraction,
-                use_query_cache=config.use_query_cache,
                 plan_topic=ns.active_plan,
                 position_topic=ns.position,
                 command_topic=ns.command,
@@ -449,13 +445,11 @@ def _vehicle_monitors(
     """
     workspace = config.world.workspace
     ns = config.namespace
-    field = workspace.clearance_field() if config.use_query_cache else None
+    field = workspace.clearance_field()
     monitors = []
 
     def _phi_obs(state) -> bool:
-        if field is not None:
-            return field.exceeds(state.position, 0.0)
-        return workspace.clearance(state.position) > 0.0
+        return field.exceeds(state.position, 0.0)
 
     def _phi_obs_batch(states):
         positions = [s.position.as_tuple() for s in states]
@@ -476,9 +470,7 @@ def _vehicle_monitors(
         reach = WorstCaseReachability(model)
 
         def _may_leave(state, horizon: float) -> bool:
-            return reach.may_leave_safe(
-                state, workspace, horizon, margin=config.collision_margin, field=field
-            )
+            return reach.may_leave_safe(state, field, horizon, margin=config.collision_margin)
 
         def _may_leave_batch(states, horizon: float):
             positions, speeds = states_as_arrays(states)
@@ -648,7 +640,6 @@ class FleetConfig:
     name: str = "drone-fleet"
     min_separation: float = 2.0
     with_separation_monitor: bool = True
-    use_batch_separation: bool = True
 
     def __post_init__(self) -> None:
         if not self.vehicles:
@@ -778,7 +769,6 @@ def _fleet_monitors(
         separation = SeparationMonitor(
             topics=[vehicle.namespace.position for vehicle in config.vehicles],
             min_separation=config.min_separation,
-            use_batch=config.use_batch_separation,
         )
         monitors.add(separation)
     return monitors, separation

@@ -15,13 +15,13 @@ this gives the module its P2a (never leaves φ_safe once inside) and P2b
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 from ..dynamics import ControlCommand, DroneState
 from ..geometry import (
-    ClearanceField,
     Vec3,
     Workspace,
     clamp_norm_rows,
@@ -44,7 +44,6 @@ class SafeWaypointTracker(WaypointTracker):
         workspace: Optional[Workspace] = None,
         recovery_clearance: Optional[float] = None,
         lookahead: float = 2.0,
-        clearance_field: Optional[ClearanceField] = None,
     ) -> None:
         self.params = params
         self.workspace = workspace
@@ -54,7 +53,10 @@ class SafeWaypointTracker(WaypointTracker):
             recovery_clearance if recovery_clearance is not None else params.obstacle_margin * 2.0
         )
         self.lookahead = lookahead
-        self.clearance_field = clearance_field
+        # The workspace's shared clearance cache answers the urgency law's
+        # threshold test; it drops its bounds itself when the workspace
+        # grows an obstacle.
+        self._field = workspace.clearance_field() if workspace is not None else None
         self._reference = None
         # Per-instance memos of the tracker's pure geometric sub-queries.
         # The away direction depends only on the (static) workspace and the
@@ -338,18 +340,16 @@ class SafeWaypointTracker(WaypointTracker):
 
     def _urgency(self, state: DroneState) -> float:
         """0 when comfortably clear of obstacles, 1 at the certified margin."""
-        if self.workspace is None:
+        field = self._field
+        if field is None:
             return 0.0
-        if self.clearance_field is not None:
-            # Common case first: the cached lower bound proves the tracker
-            # is comfortably clear, skipping the exact obstacle loop.  The
-            # exact value is computed once and reused for both the
-            # early-return test and the band interpolation below.
-            if self.clearance_field.decides_above(state.position, self.recovery_clearance):
-                return 0.0
-            clearance = self.clearance_field.clearance(state.position)
-        else:
-            clearance = self.workspace.clearance(state.position)
+        # Common case first: the cached lower bound proves the tracker is
+        # comfortably clear, skipping the exact obstacle loop.  The exact
+        # value is computed once and reused for both the early-return test
+        # and the band interpolation below.
+        if field.decides_above(state.position, self.recovery_clearance):
+            return 0.0
+        clearance = field.clearance(state.position)
         if clearance >= self.recovery_clearance:
             return 0.0
         floor = self.params.obstacle_margin
@@ -371,33 +371,44 @@ class SafeWaypointTracker(WaypointTracker):
         return cached
 
     def _compute_away_direction(self, position: Vec3) -> Vec3:
-        assert self.workspace is not None
+        """The nearest hazard's away direction, over the flat obstacle tuples.
+
+        Evaluates :meth:`AABB.closest_point` / :meth:`AABB.distance_to_point`
+        per box with plain floats (the same clamps and
+        ``sqrt(dx*dx + dy*dy + dz*dz)``, first strict minimum wins), so the
+        result is bit-identical to the per-``AABB`` loop.
+        """
+        workspace = self.workspace
+        assert workspace is not None
+        x, y, z = position.x, position.y, position.z
+        sqrt = math.sqrt
         nearest_box = None
-        nearest_dist = float("inf")
-        for obstacle in self.workspace.obstacles:
-            dist = obstacle.distance_to_point(position)
+        nearest_dist = math.inf
+        for box in workspace.obstacle_tuples():
+            lx, ly, lz, hx, hy, hz = box
+            dx = x - min(max(x, lx), hx)
+            dy = y - min(max(y, ly), hy)
+            dz = z - min(max(z, lz), hz)
+            dist = sqrt(dx * dx + dy * dy + dz * dz)
             if dist < nearest_dist:
                 nearest_dist = dist
-                nearest_box = obstacle
-        directions = []
-        if nearest_box is not None and nearest_dist < float("inf"):
-            closest = nearest_box.closest_point(position)
-            away = position - closest
+                nearest_box = box
+        direction = None
+        if nearest_box is not None and nearest_dist < math.inf:
+            lx, ly, lz, hx, hy, hz = nearest_box
+            away = Vec3(x - min(max(x, lx), hx), y - min(max(y, ly), hy), z - min(max(z, lz), hz))
             if away.norm() < 1e-6:
-                away = position - nearest_box.center
-            directions.append(away.unit())
+                away = Vec3(x - (lx + hx) * 0.5, y - (ly + hy) * 0.5, z - (lz + hz) * 0.5)
+            direction = away.unit()
         # Also push away from the workspace boundary if that is the nearest hazard.
-        boundary_dist = self.workspace.distance_to_boundary(position)
-        if boundary_dist < nearest_dist:
-            center = self.workspace.bounds.center
+        if workspace.distance_to_boundary(position) < nearest_dist:
+            center = workspace.bounds.center
             toward_center = (center - position).with_z(0.0)
             if toward_center.norm() > 1e-6:
-                directions = [toward_center.unit()]
-        if not directions:
+                direction = toward_center.unit()
+        if direction is None:
             return Vec3.zero()
-        combined = Vec3.zero()
-        for direction in directions:
-            combined = combined + direction
+        combined = Vec3.zero() + direction
         return combined.unit() if combined.norm() > 1e-6 else Vec3.zero()
 
 

@@ -277,15 +277,14 @@ class SeparationMonitor:
     is still unset are skipped (nothing to separate yet), mirroring
     :class:`TopicSafetyMonitor`'s ``ignore_missing`` behaviour.
 
-    The scalar :meth:`check` walks the ``N*(N-1)/2`` pairs with
-    :func:`~repro.geometry.min_pairwise_separation` — the oracle.  The
-    windowed :meth:`capture`/:meth:`flush` path answers a whole window of
-    samples with **one** batched N² query
+    The per-step :meth:`check` walks the ``N*(N-1)/2`` pairs with
+    :func:`~repro.geometry.min_pairwise_separation`.  The windowed
+    :meth:`capture`/:meth:`flush` path answers a whole window of samples
+    with **one** batched N² query
     (:func:`~repro.geometry.pairwise_separations` over an ``(S, N, 3)``
-    array); both planes evaluate the same floating-point expressions in
-    the same order, so verdicts, offending pairs, times and messages are
-    bit-for-bit identical (``use_batch=False`` keeps the scalar loop in
-    ``flush`` for the equivalence tests).
+    array); both evaluate the same floating-point expressions in the same
+    order, so verdicts, offending pairs, times and messages are
+    bit-for-bit identical.
     """
 
     def __init__(
@@ -294,7 +293,6 @@ class SeparationMonitor:
         min_separation: float,
         name: str = "phi_separation",
         position_of: Optional[Callable[[Any], Any]] = None,
-        use_batch: bool = True,
     ) -> None:
         if len(topics) < 2:
             raise ValueError("a separation monitor needs at least two vehicle topics")
@@ -308,7 +306,6 @@ class SeparationMonitor:
         # Default extractor handles both DroneState-like payloads (with a
         # ``.position``) and raw Vec3 positions.
         self.position_of = position_of or (lambda value: getattr(value, "position", value))
-        self.use_batch = use_batch
         self.result = MonitorResult(name=name)
         self._pairs = pairwise_index_pairs(len(self.topics))
         self._pending: List[Tuple[int, float, Tuple[Any, ...]]] = []
@@ -356,7 +353,7 @@ class SeparationMonitor:
         self.result.violations.append(violation)
         return violation
 
-    # -- immediate evaluation (the scalar oracle) ------------------------- #
+    # -- immediate evaluation ------------------------------------------- #
     def check(self, engine: SemanticsEngine) -> Optional[Violation]:
         """Evaluate pairwise separation now; record the closest offending pair."""
         values = self._read_all(engine)
@@ -382,28 +379,21 @@ class SeparationMonitor:
         complete = [(entry, positions) for entry, positions in rows if positions is not None]
         if not complete:
             return []
+        stacked = np.array(
+            [[tuple(position) for position in positions] for _, positions in complete],
+            dtype=float,
+        )
+        separations = pairwise_separations(stacked)  # (S, P)
+        worst = separations.argmin(axis=1)  # first minimal pair, like the scalar scan
         flushed: List[Tuple[int, Violation]] = []
-        if self.use_batch:
-            stacked = np.array(
-                [[tuple(position) for position in positions] for _, positions in complete],
-                dtype=float,
-            )
-            separations = pairwise_separations(stacked)  # (S, P)
-            worst = separations.argmin(axis=1)  # first minimal pair, like the scalar scan
-            for row, ((serial, time, values), _) in enumerate(complete):
-                pair_index = int(worst[row])
-                distance = float(separations[row, pair_index])
-                if distance >= self.min_separation:
-                    continue
-                flushed.append(
-                    (serial, self._violation(time, distance, self._pairs[pair_index], values))
-                )
-            return flushed
-        for (serial, time, values), positions in complete:
-            distance, pair = min_pairwise_separation(positions)
+        for row, ((serial, time, values), _) in enumerate(complete):
+            pair_index = int(worst[row])
+            distance = float(separations[row, pair_index])
             if distance >= self.min_separation:
                 continue
-            flushed.append((serial, self._violation(time, float(distance), pair, values)))
+            flushed.append(
+                (serial, self._violation(time, distance, self._pairs[pair_index], values))
+            )
         return flushed
 
 

@@ -38,8 +38,7 @@ class ClosedLoopModel(Protocol):
     predicates and these hooks interpret it.
 
     Models may additionally provide the ``*_batch`` variants below; when
-    every hook a check needs is present (and
-    :attr:`CheckerOptions.use_batch` is on), the checker routes the whole
+    every hook a check needs is present, the checker routes the whole
     falsification pass through them — N samples × T rollout steps collapse
     into a handful of vectorised calls.  Batch hooks must agree with their
     scalar counterparts sample for sample: ``sample_*_batch(n)`` draws the
@@ -141,20 +140,18 @@ class WellFormednessReport:
 class CheckerOptions:
     """Tunables for the sampling-based checks.
 
-    ``use_batch`` routes P2a/P2b/P3 through the closed-loop model's
-    ``*_batch`` hooks when it provides them (see :class:`ClosedLoopModel`);
-    each check's verdict and detail are identical to the scalar loop run
-    from the same sampler state (a *failing* check consumes more sampler
-    draws on the batch plane — see the :class:`ClosedLoopModel` caveat).
-    The flag exists so the equivalence tests and benchmarks can compare
-    both planes.
+    P2a/P2b/P3 run through the closed-loop model's ``*_batch`` hooks when
+    it provides them (see :class:`ClosedLoopModel`) and through the scalar
+    loops otherwise; each check's verdict and detail are identical either
+    way when run from the same sampler state (a *failing* check consumes
+    more sampler draws on the batch plane — see the
+    :class:`ClosedLoopModel` caveat).
     """
 
     samples: int = 20
     p2a_horizon: float = 20.0
     p2b_max_time: float = 30.0
     trust_certificates: bool = True
-    use_batch: bool = True
     #: The flags-plane checks process samples in chunks of this size: a
     #: check that fails on an early sample stops after its chunk instead
     #: of paying for every remaining rollout (the batched analogue of the
@@ -186,8 +183,8 @@ class WellFormednessChecker:
         self.options = options or CheckerOptions()
 
     def _can_batch(self, *hooks: str) -> bool:
-        """True when batching is enabled and the model provides every hook."""
-        if not self.options.use_batch or self.closed_loop is None:
+        """True when the model provides every hook."""
+        if self.closed_loop is None:
             return False
         return all(callable(getattr(self.closed_loop, hook, None)) for hook in hooks)
 

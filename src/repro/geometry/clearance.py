@@ -82,10 +82,12 @@ class ClearanceField:
         # re-asks the same handful of points (finite abstraction menus,
         # periodic estimates) thousands of times per sweep; memoising the
         # exact value turns every repeat into a dict hit while staying
-        # trivially bit-identical.  Bounded so continuous workloads (noisy
-        # simulation estimates) cannot grow it without limit.
+        # trivially bit-identical.  Continuous workloads (noisy simulation
+        # estimates) rarely repeat a point, so the memo starts over once it
+        # holds ``_exact_limit`` entries instead of filling with one-off
+        # positions.
         self._exact: Dict[Tuple[float, float, float], float] = {}
-        self._exact_limit = 65536
+        self._exact_limit = 4096
         self._obstacle_count = len(workspace.obstacles)
         # The optional dense plane: a whole-workspace grid of cell bounds
         # (see :meth:`densify`).  ``None`` until densified; dropped on any
@@ -120,8 +122,9 @@ class ClearanceField:
         if value is None:
             value = self.workspace.clearance(point)
             self.stats.exact_fallbacks += 1
-            if len(self._exact) < self._exact_limit:
-                self._exact[key] = value
+            if len(self._exact) >= self._exact_limit:
+                self._exact.clear()
+            self._exact[key] = value
         else:
             self.stats.exact_memo_hits += 1
         return value

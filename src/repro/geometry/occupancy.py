@@ -54,8 +54,8 @@ class OccupancyGrid:
         ``inflate`` grows every obstacle before rasterisation, which is how
         the planners account for the drone's physical extent.  The
         rasterisation is one batched ``in_obstacle`` query over all cell
-        centers; it marks exactly the cells the per-cell scalar loop would
-        (see :meth:`_from_workspace_scalar`, kept as the test reference).
+        centers; it marks exactly the cells a per-cell ``in_obstacle`` loop
+        would (the loop is kept as a test oracle).
         """
         if resolution <= 0.0:
             raise ValueError("grid resolution must be positive")
@@ -69,33 +69,6 @@ class OccupancyGrid:
             [grid_x.ravel(), grid_y.ravel(), np.full(nx * ny, float(altitude))]
         )
         occupied = workspace.in_obstacle_batch(centers, margin=inflate).reshape(nx, ny)
-        return OccupancyGrid(origin_x=lo.x, origin_y=lo.y, resolution=resolution, occupied=occupied)
-
-    @staticmethod
-    def _from_workspace_scalar(
-        workspace: Workspace,
-        resolution: float = 0.5,
-        inflate: float = 0.0,
-        altitude: float = 2.0,
-    ) -> "OccupancyGrid":
-        """The original per-cell rasterisation loop (reference implementation).
-
-        Kept so the equivalence tests can assert the batched build marks the
-        same cells bit-for-bit; benchmarks use it to report the speedup.
-        """
-        if resolution <= 0.0:
-            raise ValueError("grid resolution must be positive")
-        lo, hi = workspace.bounds.lo, workspace.bounds.hi
-        nx = max(1, int(math.ceil((hi.x - lo.x) / resolution)))
-        ny = max(1, int(math.ceil((hi.y - lo.y) / resolution)))
-        occupied = np.zeros((nx, ny), dtype=bool)
-        for i in range(nx):
-            for j in range(ny):
-                x = lo.x + (i + 0.5) * resolution
-                y = lo.y + (j + 0.5) * resolution
-                point = Vec3(x, y, altitude)
-                if workspace.in_obstacle(point, margin=inflate):
-                    occupied[i, j] = True
         return OccupancyGrid(origin_x=lo.x, origin_y=lo.y, resolution=resolution, occupied=occupied)
 
     # ------------------------------------------------------------------ #
@@ -170,8 +143,7 @@ class OccupancyGrid:
         (right/down-right/down/down-left) raster passes yield exactly the
         multi-source shortest-path distance the brushfire Dijkstra computes
         (Borgefors' sequential transform), up to floating-point rounding of
-        equal path sums.  The Dijkstra version is kept as
-        :meth:`_distance_to_occupied_dijkstra` for the equivalence tests.
+        equal path sums.  The brushfire Dijkstra is kept as a test oracle.
         """
         dist = np.where(self.occupied, 0.0, np.inf)
         if not self.occupied.any():
@@ -211,42 +183,6 @@ class OccupancyGrid:
                 shifted = (row + ramp)[::-1]
                 np.minimum.accumulate(shifted, out=shifted)
                 np.minimum(row, shifted[::-1] - ramp, out=row)
-
-    def _distance_to_occupied_dijkstra(self) -> np.ndarray:
-        """Reference brushfire (multi-source Dijkstra) distance transform.
-
-        The original scalar implementation, kept for the batch/scalar
-        equivalence tests and the benchmark comparison.
-        """
-        nx, ny = self.shape
-        inf = float("inf")
-        dist = np.full((nx, ny), inf, dtype=float)
-        import heapq
-
-        heap: List[Tuple[float, int, int]] = []
-        for i in range(nx):
-            for j in range(ny):
-                if self.occupied[i, j]:
-                    dist[i, j] = 0.0
-                    heapq.heappush(heap, (0.0, i, j))
-        if not heap:
-            return dist
-        diag = math.sqrt(2.0) * self.resolution
-        straight = self.resolution
-        while heap:
-            d, i, j = heapq.heappop(heap)
-            if d > dist[i, j]:
-                continue
-            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)):
-                ni, nj = i + di, j + dj
-                if not (0 <= ni < nx and 0 <= nj < ny):
-                    continue
-                step = diag if di != 0 and dj != 0 else straight
-                nd = d + step
-                if nd < dist[ni, nj]:
-                    dist[ni, nj] = nd
-                    heapq.heappush(heap, (nd, ni, nj))
-        return dist
 
     def inflated(self, radius: float) -> "OccupancyGrid":
         """Return a copy where every cell within ``radius`` of an obstacle is occupied."""

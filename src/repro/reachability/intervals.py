@@ -14,7 +14,7 @@ models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,33 +61,26 @@ class WorstCaseReachability:
     def may_leave_safe(
         self,
         state: DroneState,
-        workspace: Workspace,
+        field: ClearanceField,
         horizon: float,
         margin: float = 0.0,
-        field: Optional[ClearanceField] = None,
     ) -> bool:
         """True if some reachable position within ``horizon`` is unsafe.
 
         "Unsafe" means inside an (inflated) obstacle or outside the
-        workspace bounds; this is exactly the check
+        workspace bounds of ``field.workspace``; this is exactly the check
         ``Reach(st, *, 2Δ) ⊄ φ_safe`` of Figure 9 when called with
-        ``horizon = 2Δ``.
-
-        With a :class:`ClearanceField` the cached conservative bound
-        pre-answers the far-from-obstacle case; the returned decision is
-        bit-for-bit the same either way.
+        ``horizon = 2Δ``.  The field's cached conservative bound
+        pre-answers the far-from-obstacle case; every other case compares
+        the exact clearance, so the decision is that of the exact check.
         """
         ball = self.reach_ball(state, horizon)
         # The ball escapes φ_safe iff the clearance at the center is
         # smaller than the ball radius (clearance is a true metric
         # distance to the unsafe set).
-        if field is not None:
-            if field.decides_above(state.position, ball.radius, margin=margin):
-                return False  # the cached bound alone rules the escape out
-            clearance = field.clearance(state.position) - margin
-        else:
-            clearance = workspace.clearance(state.position) - margin
-        return clearance <= ball.radius
+        if field.decides_above(state.position, ball.radius, margin=margin):
+            return False  # the cached bound alone rules the escape out
+        return field.clearance(state.position) - margin <= ball.radius
 
     def unavoidable_travel_radius(self, state: DroneState, horizon: float) -> float:
         """Worst-case travel before *any* certified braking manoeuvre can stop the plant.
@@ -109,43 +102,15 @@ class WorstCaseReachability:
     def must_switch(
         self,
         state: DroneState,
-        workspace: Workspace,
+        field: ClearanceField,
         horizon: float,
         margin: float = 0.0,
-        field: Optional[ClearanceField] = None,
     ) -> bool:
         """True if the DM must switch now for the SC to be able to keep φ_safe."""
         radius = self.unavoidable_travel_radius(state, horizon)
-        if field is not None:
-            if field.decides_above(state.position, radius, margin=margin):
-                return False
-            clearance = field.clearance(state.position) - margin
-        else:
-            clearance = workspace.clearance(state.position) - margin
-        return clearance <= radius
-
-    def make_ttf_checker(
-        self,
-        workspace: Workspace,
-        two_delta: float,
-        margin: float = 0.0,
-        include_braking: bool = True,
-        field: Optional[ClearanceField] = None,
-    ) -> Callable[[DroneState], bool]:
-        """Build the ``ttf_2Δ`` predicate used by the motion-primitive DM.
-
-        With ``include_braking`` (the default) the predicate also accounts
-        for the safe controller's stopping distance, so the switch happens
-        while recovery is still possible; without it the predicate is the
-        literal ``Reach(st, *, 2Δ) ⊄ φ_safe`` check of Figure 9.
-        """
-
-        def ttf(state: DroneState) -> bool:
-            if include_braking:
-                return self.must_switch(state, workspace, two_delta, margin=margin, field=field)
-            return self.may_leave_safe(state, workspace, two_delta, margin=margin, field=field)
-
-        return ttf
+        if field.decides_above(state.position, radius, margin=margin):
+            return False
+        return field.clearance(state.position) - margin <= radius
 
     # ------------------------------------------------------------------ #
     # batched queries (bit-identical to mapping the scalar versions)

@@ -24,6 +24,8 @@ from repro.geometry import (
 )
 from repro.reachability import synthesize_safe_tracker
 
+from ..oracles.clearance import install_exact_field
+
 
 def _random_batch(seed, count, speed=4.0):
     rng = random.Random(seed)
@@ -136,7 +138,6 @@ class TestCommandBatch:
             params=params,
             workspace=workspace,
             recovery_clearance=3.2,
-            clearance_field=workspace.clearance_field(),
         )
 
     def test_safe_tracker_batch_bit_identical(self, safe_tracker):
@@ -149,6 +150,7 @@ class TestCommandBatch:
 
     def test_safe_tracker_batch_without_field(self):
         workspace = grid_city_workspace()
+        install_exact_field(workspace)  # the urgency law reads exact clearances
         model = BoundedDoubleIntegrator(DoubleIntegratorParams(max_speed=4.0, max_acceleration=6.0))
         params, _ = synthesize_safe_tracker(model, workspace, safe_speed_fraction=0.35)
         tracker = SafeWaypointTracker(params=params, workspace=workspace, recovery_clearance=3.2)

@@ -23,6 +23,8 @@ from repro.core import CheckerOptions, WellFormednessChecker
 from repro.dynamics import BoundedDoubleIntegrator, DoubleIntegratorParams
 from repro.simulation import surveillance_city
 
+from ..oracles.checker import HooklessClosedLoop
+
 #: The exact falsification configuration the benchmark/ROADMAP finding used
 #: (seed 5, 6 s rollouts); 8 samples suffice because the failing start is
 #: sample 2 of the stream.
@@ -42,16 +44,16 @@ def harness():
     return world, model, module
 
 
-def _check_p2b(world, model, module, use_batch):
+def _check_p2b(world, model, module, batched):
+    """P2b on the batch plane, or (``batched=False``) on the scalar loops."""
     closed_loop = DroneClosedLoopModel(module, model, world.workspace, seed=SEED)
     checker = WellFormednessChecker(
-        closed_loop,
+        closed_loop if batched else HooklessClosedLoop(closed_loop),
         CheckerOptions(
             samples=SAMPLES,
             p2a_horizon=HORIZON,
             p2b_max_time=HORIZON,
             trust_certificates=False,
-            use_batch=use_batch,
         ),
     )
     return checker, closed_loop, checker.check_p2b(module.spec)
@@ -65,10 +67,10 @@ class TestP2bNearCornerRegression:
         _, _, module = harness
         assert module.safer_clearance == pytest.approx(2.8333333333333333, abs=1e-12)
 
-    @pytest.mark.parametrize("use_batch", [False, True], ids=["scalar", "batched"])
-    def test_p2b_falsified_at_the_known_sample(self, harness, use_batch):
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+    def test_p2b_falsified_at_the_known_sample(self, harness, batched):
         world, model, module = harness
-        _, _, result = _check_p2b(world, model, module, use_batch)
+        _, _, result = _check_p2b(world, model, module, batched)
         assert not result.passed
         assert result.evidence == "falsification"
         assert f"sample {FAILING_SAMPLE}:" in result.detail
@@ -76,8 +78,8 @@ class TestP2bNearCornerRegression:
 
     def test_both_planes_agree_verbatim(self, harness):
         world, model, module = harness
-        _, _, scalar = _check_p2b(world, model, module, use_batch=False)
-        _, _, batched = _check_p2b(world, model, module, use_batch=True)
+        _, _, scalar = _check_p2b(world, model, module, batched=False)
+        _, _, batched = _check_p2b(world, model, module, batched=True)
         assert (scalar.passed, scalar.evidence, scalar.detail) == (
             batched.passed,
             batched.evidence,
@@ -89,7 +91,7 @@ class TestP2bNearCornerRegression:
         # rollout ends with positive clearance (it is safe — P2a holds) but
         # below the φ_safer threshold (it never recovers past it).
         world, model, module = harness
-        checker, closed_loop, result = _check_p2b(world, model, module, use_batch=False)
+        checker, closed_loop, result = _check_p2b(world, model, module, batched=False)
         # Re-draw the same sampler stream to recover the failing start.
         fresh = DroneClosedLoopModel(module, model, world.workspace, seed=SEED)
         starts = fresh.sample_safe_state_batch(FAILING_SAMPLE + 1)

@@ -20,6 +20,8 @@ from repro.geometry import (
     pairwise_separations,
 )
 
+from ..oracles.monitors import ScalarSeparationMonitor
+
 
 def _random_positions(rng, count, spread=30.0):
     return [
@@ -134,14 +136,10 @@ class TestSeparationMonitorEquivalence:
         topics = [f"drone{i}/localPosition" for i in range(fleet_size)]
         rng = random.Random(1000 * fleet_size + seed)
         samples = _random_fleet_samples(rng, topics, steps=40)
-        scalar = _run_scalar(
-            SeparationMonitor(topics, min_separation=2.0, use_batch=False), samples
-        )
-        batched = _run_windowed(
-            SeparationMonitor(topics, min_separation=2.0, use_batch=True), samples
-        )
+        scalar = _run_scalar(SeparationMonitor(topics, min_separation=2.0), samples)
+        batched = _run_windowed(SeparationMonitor(topics, min_separation=2.0), samples)
         windowed_scalar = _run_windowed(
-            SeparationMonitor(topics, min_separation=2.0, use_batch=False), samples
+            ScalarSeparationMonitor(topics, min_separation=2.0), samples
         )
         assert [_violation_key(v) for v in batched] == [_violation_key(v) for v in scalar]
         assert [_violation_key(v) for v in windowed_scalar] == [
@@ -156,8 +154,8 @@ class TestSeparationMonitorEquivalence:
         close_c = DroneState(position=Vec3(10.5, 10.0, 2.0))
         far_a = DroneState(position=Vec3(0.0, 0.0, 2.0))
         samples = [(0.5, {"a/pos": far_a, "b/pos": close_b, "c/pos": close_c})]
-        scalar_monitor = SeparationMonitor(topics, min_separation=2.0, use_batch=False)
-        batch_monitor = SeparationMonitor(topics, min_separation=2.0, use_batch=True)
+        scalar_monitor = SeparationMonitor(topics, min_separation=2.0)
+        batch_monitor = SeparationMonitor(topics, min_separation=2.0)
         (scalar_violation,) = _run_scalar(scalar_monitor, samples)
         (batch_violation,) = _run_windowed(batch_monitor, samples)
         assert "'b/pos'<->'c/pos'" in scalar_violation.message
@@ -171,8 +169,8 @@ class TestSeparationMonitorEquivalence:
             (0.0, {"a/pos": on_top}),  # b missing: skipped even though a is set
             (0.5, {"a/pos": on_top, "b/pos": on_top}),  # both present: violation
         ]
-        scalar = _run_scalar(SeparationMonitor(topics, 2.0, use_batch=False), samples)
-        batched = _run_windowed(SeparationMonitor(topics, 2.0, use_batch=True), samples)
+        scalar = _run_scalar(SeparationMonitor(topics, 2.0), samples)
+        batched = _run_windowed(SeparationMonitor(topics, 2.0), samples)
         assert len(scalar) == len(batched) == 1
         assert scalar[0].time == batched[0].time == 0.5
 

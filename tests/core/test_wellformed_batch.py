@@ -3,7 +3,9 @@
 The checker's batch plane (structure-of-arrays rollouts, one-shot
 reachability, flag-level φ verdicts) must reproduce the scalar loops
 exactly: the same sampled states, bit-identical rollout trajectories, and
-the same check verdicts and failure details.
+the same check verdicts and failure details.  The scalar loops run on
+:class:`tests.oracles.checker.HooklessClosedLoop`, which hides the model's
+batch hooks from the checker.
 """
 
 import numpy as np
@@ -14,6 +16,8 @@ from repro.control import AggressiveTracker
 from repro.core import CheckerOptions, WellFormednessChecker
 from repro.dynamics import BoundedDoubleIntegrator, DoubleIntegratorParams
 from repro.simulation import surveillance_city
+
+from ..oracles.checker import HooklessClosedLoop
 
 SEED = 5
 
@@ -33,15 +37,15 @@ def _fresh_model(drone_setup):
     return DroneClosedLoopModel(module, model, world.workspace, seed=SEED)
 
 
-def _checker(drone_setup, use_batch, samples=6, horizon=3.0):
+def _checker(drone_setup, batched, samples=6, horizon=3.0):
     options = CheckerOptions(
         samples=samples,
         p2a_horizon=horizon,
         p2b_max_time=horizon,
         trust_certificates=False,
-        use_batch=use_batch,
     )
-    return WellFormednessChecker(_fresh_model(drone_setup), options)
+    model = _fresh_model(drone_setup)
+    return WellFormednessChecker(model if batched else HooklessClosedLoop(model), options)
 
 
 class TestSamplerStreamEquivalence:
@@ -92,8 +96,8 @@ class TestCheckerEquivalence:
     @pytest.mark.parametrize("check", ["check_p2a", "check_p2b", "check_p3"])
     def test_batch_and_scalar_checks_agree(self, drone_setup, check):
         _, _, module = drone_setup
-        scalar = getattr(_checker(drone_setup, use_batch=False), check)(module.spec)
-        batch = getattr(_checker(drone_setup, use_batch=True), check)(module.spec)
+        scalar = getattr(_checker(drone_setup, batched=False), check)(module.spec)
+        batch = getattr(_checker(drone_setup, batched=True), check)(module.spec)
         assert (scalar.name, scalar.passed, scalar.evidence, scalar.detail) == (
             batch.name,
             batch.passed,
@@ -106,21 +110,18 @@ class TestCheckerEquivalence:
         world, model, module = drone_setup
         spec = module.spec
         results = {}
-        for use_batch in (False, True):
+        for batched in (False, True):
+            model = _fresh_model(drone_setup)
             checker = WellFormednessChecker(
-                _fresh_model(drone_setup),
-                CheckerOptions(
-                    samples=40,
-                    trust_certificates=False,
-                    use_batch=use_batch,
-                ),
+                model if batched else HooklessClosedLoop(model),
+                CheckerOptions(samples=40, trust_certificates=False),
             )
             # A spec twin with a huge Δ makes Reach(s, *, 2Δ) escape for
             # some sample, exercising the failing branch of both planes.
             import dataclasses
 
             wide = dataclasses.replace(spec, delta=3.0)
-            results[use_batch] = checker.check_p3(wide)
+            results[batched] = checker.check_p3(wide)
         scalar, batch = results[False], results[True]
         assert not scalar.passed
         assert (scalar.passed, scalar.evidence, scalar.detail) == (
@@ -151,7 +152,7 @@ class TestCheckerEquivalence:
         options = CheckerOptions(
             samples=6, p2a_horizon=3.0, p2b_max_time=3.0, trust_certificates=False
         )
-        scalar = getattr(_checker(drone_setup, use_batch=False), check)(module.spec)
+        scalar = getattr(_checker(drone_setup, batched=False), check)(module.spec)
         batch = getattr(WellFormednessChecker(TrajectoryOnly(), options), check)(module.spec)
         assert (scalar.passed, scalar.evidence, scalar.detail) == (
             batch.passed,
@@ -162,38 +163,9 @@ class TestCheckerEquivalence:
     def test_scalar_fallback_without_batch_hooks(self, drone_setup):
         """Models without batch hooks (the protocol minimum) still work."""
         _, _, module = drone_setup
-        inner = _fresh_model(drone_setup)
-
-        class ScalarOnly:
-            sample_safe_state = inner.sample_safe_state
-            sample_safer_state = inner.sample_safer_state
-            rollout_under_safe_controller = staticmethod(inner.rollout_under_safe_controller)
-            worst_case_stays_safe = staticmethod(inner.worst_case_stays_safe)
-
         checker = WellFormednessChecker(
-            ScalarOnly(),
+            HooklessClosedLoop(_fresh_model(drone_setup)),
             CheckerOptions(samples=3, p2a_horizon=1.0, p2b_max_time=1.0, trust_certificates=False),
         )
         result = checker.check_p2a(module.spec)
         assert result.evidence == "falsification"
-
-    def test_use_batch_false_bypasses_hooks(self, drone_setup):
-        _, _, module = drone_setup
-        model = _fresh_model(drone_setup)
-        calls = {"batch": 0}
-        original = model.rollout_safe_flags_batch
-
-        def counting(count, duration):
-            calls["batch"] += 1
-            return original(count, duration)
-
-        model.rollout_safe_flags_batch = counting
-        checker = WellFormednessChecker(
-            model,
-            CheckerOptions(
-                samples=2, p2a_horizon=0.5, p2b_max_time=0.5,
-                trust_certificates=False, use_batch=False,
-            ),
-        )
-        checker.check_p2a(module.spec)
-        assert calls["batch"] == 0

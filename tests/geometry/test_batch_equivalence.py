@@ -23,6 +23,8 @@ from repro.geometry import (
     points_as_array,
 )
 
+from ..oracles import occupancy as occupancy_oracle
+
 
 def random_workspace(seed: int, obstacles: int = 6):
     rng = random.Random(seed)
@@ -94,7 +96,7 @@ class TestBatchScalarBitEquality:
     def test_occupancy_build_matches_scalar(self, seed):
         workspace = random_workspace(seed)
         batch = OccupancyGrid.from_workspace(workspace, resolution=0.5, inflate=0.3)
-        scalar = OccupancyGrid._from_workspace_scalar(workspace, resolution=0.5, inflate=0.3)
+        scalar = occupancy_oracle.from_workspace_scalar(workspace, resolution=0.5, inflate=0.3)
         assert batch.shape == scalar.shape
         assert (batch.occupied == scalar.occupied).all(), (
             "vectorised rasterisation must mark exactly the scalar loop's cells"
@@ -104,7 +106,7 @@ class TestBatchScalarBitEquality:
         workspace = random_workspace(seed)
         grid = OccupancyGrid.from_workspace(workspace, resolution=0.5)
         chamfer = grid.distance_to_occupied()
-        dijkstra = grid._distance_to_occupied_dijkstra()
+        dijkstra = occupancy_oracle.distance_to_occupied_dijkstra(grid)
         # Same metric, different summation order: equal up to fp rounding.
         assert np.allclose(chamfer, dijkstra, rtol=1e-9, atol=1e-9)
 
@@ -227,6 +229,27 @@ class TestClearanceFieldBookkeeping:
         assert rebuilt is not field
         point = Vec3(4.2, 4.2, 2.0)
         assert rebuilt.at_most(point, 0.0) == (workspace.clearance(point) <= 0.0)
+
+    def test_exact_memo_stays_capped_and_keeps_hitting(self):
+        workspace = grid_city_workspace()
+        field = ClearanceField(workspace, resolution=0.5)
+        limit = field._exact_limit
+        rng = random.Random(3)
+        hot = [workspace.bounds.random_point(rng) for _ in range(8)]
+        for round_ in range(3):
+            # A stream of one-off points (noisy estimates) overflows the memo...
+            for _ in range(limit + 500):
+                point = workspace.bounds.random_point(rng)
+                assert field.clearance(point) == workspace.clearance(point)
+                assert len(field._exact) <= limit
+            # ...and repeated points still hit once re-memoised.
+            for point in hot:
+                field.clearance(point)
+            hits = field.stats.exact_memo_hits
+            for point in hot:
+                assert field.clearance(point) == workspace.clearance(point)
+            assert field.stats.exact_memo_hits == hits + len(hot)
+        assert limit == 4096
 
     def test_field_resolution_validated(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,9 @@
 """The flat scalar queries and the table-driven A* against their oracles.
 
-``Workspace.clearance``/``in_obstacle``/``segment_is_free`` loop over flat
-per-obstacle float tuples and ``GridAStarPlanner`` searches a free-cell
-set; :mod:`tests.oracles.geometry` keeps the per-``AABB`` loops and the
-neighbour-list search they replace.  Every answer must match with ``==``:
+``Workspace.clearance``/``in_obstacle``/``segment_is_free`` and the safe
+tracker's away direction loop over flat per-obstacle float tuples and
+``GridAStarPlanner`` searches a free-cell set; :mod:`tests.oracles.geometry`
+keeps the per-``AABB`` loops and the neighbour-list search they replace.  Every answer must match with ``==``:
 points inside boxes, exactly on faces, edges and corners, and outside the
 bounds; segments that are axis-parallel, zero-length or grazing, with and
 without a margin.
@@ -15,8 +15,11 @@ import random
 
 import pytest
 
+from repro.control import SafeWaypointTracker
+from repro.dynamics import BoundedDoubleIntegrator, DoubleIntegratorParams
 from repro.geometry import AABB, Vec3, empty_workspace
 from repro.planning import GridAStarPlanner
+from repro.reachability import synthesize_safe_tracker
 from repro.simulation import surveillance_city
 
 from ..oracles import geometry as oracle
@@ -122,6 +125,41 @@ def test_collapsing_negative_margin_raises_like_the_box():
     for query in (workspace.segment_is_free, lambda *args, **kw: oracle.segment_is_free(workspace, *args, **kw)):
         with pytest.raises(ValueError, match="collapsed"):
             query(a, b, margin=-0.3)
+
+
+def _bits(vector):
+    return tuple(component.hex() for component in vector.as_tuple())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_away_direction_matches_the_per_box_loop(seed):
+    workspace = surveillance_city().workspace
+    model = BoundedDoubleIntegrator(DoubleIntegratorParams(max_speed=4.0, max_acceleration=6.0))
+    params, _ = synthesize_safe_tracker(model, workspace, safe_speed_fraction=0.35)
+    tracker = SafeWaypointTracker(params=params, workspace=workspace)
+    # Inside boxes (the degenerate closest-point case), on faces and
+    # corners, near the walls and outside the bounds, plus random points.
+    points = probe_points(workspace, seed, count=300)
+    rng = random.Random(seed)
+    points += [
+        Vec3(rng.uniform(-0.5, 0.8), rng.uniform(0.0, 36.0), rng.uniform(0.0, 8.0))
+        for _ in range(50)
+    ]
+    for point in points:
+        assert _bits(tracker._compute_away_direction(point)) == _bits(
+            oracle.away_direction(workspace, point)
+        ), point
+
+
+def test_away_direction_without_obstacles():
+    workspace = empty_workspace()
+    model = BoundedDoubleIntegrator(DoubleIntegratorParams(max_speed=4.0, max_acceleration=6.0))
+    params, _ = synthesize_safe_tracker(model, workspace, safe_speed_fraction=0.35)
+    tracker = SafeWaypointTracker(params=params, workspace=workspace)
+    for point in (Vec3(0.5, 5.0, 2.0), Vec3(5.0, 5.0, 2.0), Vec3(5.0, 5.0, 9.9)):
+        assert _bits(tracker._compute_away_direction(point)) == _bits(
+            oracle.away_direction(workspace, point)
+        )
 
 
 @pytest.mark.parametrize("clearance", [1.0, 0.6])

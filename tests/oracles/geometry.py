@@ -1,13 +1,14 @@
 """The per-``AABB`` scalar collision queries and the neighbour-list grid A*.
 
 :class:`~repro.geometry.workspace.Workspace` answers its scalar queries
-from flat per-obstacle float tuples, and
-:class:`~repro.planning.astar.GridAStarPlanner` searches a free-cell set
-with inlined moves.  The functions here are the straightforward versions
-those replace — one :class:`~repro.geometry.shapes.AABB` method call and
-a few :class:`~repro.geometry.vec.Vec3` temporaries per box, and an A*
-that asks the :class:`~repro.geometry.occupancy.OccupancyGrid` for every
-neighbour — kept as the oracles the fast paths are compared against.
+from flat per-obstacle float tuples, as does the safe tracker's
+away-direction law, and :class:`~repro.planning.astar.GridAStarPlanner`
+searches a free-cell set with inlined moves.  The functions here are the
+straightforward versions those replace — one
+:class:`~repro.geometry.shapes.AABB` method call and a few
+:class:`~repro.geometry.vec.Vec3` temporaries per box, and an A* that asks
+the :class:`~repro.geometry.occupancy.OccupancyGrid` for every neighbour —
+kept as the oracles the fast paths are compared against.
 """
 
 from __future__ import annotations
@@ -43,6 +44,36 @@ def segment_is_free(workspace: Workspace, seg_a: Vec3, seg_b: Vec3, margin: floa
     return not any(
         obstacle.segment_intersects(seg_a, seg_b, margin=margin) for obstacle in workspace.obstacles
     )
+
+
+def away_direction(workspace: Workspace, position: Vec3) -> Vec3:
+    """``SafeWaypointTracker._compute_away_direction`` as a per-``AABB`` loop."""
+    nearest_box = None
+    nearest_dist = float("inf")
+    for obstacle in workspace.obstacles:
+        dist = obstacle.distance_to_point(position)
+        if dist < nearest_dist:
+            nearest_dist = dist
+            nearest_box = obstacle
+    directions = []
+    if nearest_box is not None and nearest_dist < float("inf"):
+        closest = nearest_box.closest_point(position)
+        away = position - closest
+        if away.norm() < 1e-6:
+            away = position - nearest_box.center
+        directions.append(away.unit())
+    boundary_dist = workspace.distance_to_boundary(position)
+    if boundary_dist < nearest_dist:
+        center = workspace.bounds.center
+        toward_center = (center - position).with_z(0.0)
+        if toward_center.norm() > 1e-6:
+            directions = [toward_center.unit()]
+    if not directions:
+        return Vec3.zero()
+    combined = Vec3.zero()
+    for direction in directions:
+        combined = combined + direction
+    return combined.unit() if combined.norm() > 1e-6 else Vec3.zero()
 
 
 # --------------------------------------------------------------------- #

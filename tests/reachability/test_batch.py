@@ -9,6 +9,8 @@ from repro.dynamics import BoundedDoubleIntegrator, DoubleIntegratorParams, Dron
 from repro.geometry import Vec3, grid_city_workspace
 from repro.reachability import LevelSetAnalysis, WorstCaseReachability, states_as_arrays
 
+from ..oracles.clearance import ExactClearanceField
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -44,9 +46,10 @@ class TestBatchedReachability:
     def test_may_leave_safe_batch_bit_equal(self, setup, horizon):
         workspace, _, reach, states = setup
         positions, speeds = states_as_arrays(states)
+        field = workspace.clearance_field()
         for margin in (0.0, 0.05):
             scalar = np.array(
-                [reach.may_leave_safe(s, workspace, horizon, margin=margin) for s in states]
+                [reach.may_leave_safe(s, field, horizon, margin=margin) for s in states]
             )
             batch = reach.may_leave_safe_batch(positions, speeds, workspace, horizon, margin=margin)
             assert (scalar == batch).all()
@@ -54,7 +57,8 @@ class TestBatchedReachability:
     def test_must_switch_batch_bit_equal(self, setup, horizon):
         workspace, _, reach, states = setup
         positions, speeds = states_as_arrays(states)
-        scalar = np.array([reach.must_switch(s, workspace, horizon, margin=0.05) for s in states])
+        field = workspace.clearance_field()
+        scalar = np.array([reach.must_switch(s, field, horizon, margin=0.05) for s in states])
         batch = reach.must_switch_batch(positions, speeds, workspace, horizon, margin=0.05)
         assert (scalar == batch).all()
 
@@ -63,22 +67,15 @@ class TestFieldBackedScalarPath:
     def test_field_does_not_change_decisions(self, setup):
         workspace, _, reach, states = setup
         field = workspace.clearance_field()
+        exact = ExactClearanceField(workspace)
         for state in states[:250]:
             for horizon in (0.2, 1.0):
                 assert reach.may_leave_safe(
-                    state, workspace, horizon, margin=0.05, field=field
-                ) == reach.may_leave_safe(state, workspace, horizon, margin=0.05)
+                    state, field, horizon, margin=0.05
+                ) == reach.may_leave_safe(state, exact, horizon, margin=0.05)
                 assert reach.must_switch(
-                    state, workspace, horizon, margin=0.05, field=field
-                ) == reach.must_switch(state, workspace, horizon, margin=0.05)
-
-    def test_ttf_checker_accepts_field(self, setup):
-        workspace, _, reach, states = setup
-        field = workspace.clearance_field()
-        plain = reach.make_ttf_checker(workspace, 0.2, margin=0.05)
-        cached = reach.make_ttf_checker(workspace, 0.2, margin=0.05, field=field)
-        for state in states[:250]:
-            assert plain(state) == cached(state)
+                    state, field, horizon, margin=0.05
+                ) == reach.must_switch(state, exact, horizon, margin=0.05)
 
 
 class TestLevelSetBatch:

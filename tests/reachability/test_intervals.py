@@ -64,8 +64,9 @@ class TestWorstCaseReachability:
         reach = WorstCaseReachability(model)
         near = DroneState(position=Vec3(9.5, 10.0, 2.0), velocity=Vec3(3.0, 0.0, 0.0))
         far = DroneState(position=Vec3(2.0, 10.0, 2.0), velocity=Vec3(3.0, 0.0, 0.0))
-        assert reach.may_leave_safe(near, workspace_with_wall, 0.2)
-        assert not reach.may_leave_safe(far, workspace_with_wall, 0.2)
+        field = workspace_with_wall.clearance_field()
+        assert reach.may_leave_safe(near, field, 0.2)
+        assert not reach.may_leave_safe(far, field, 0.2)
 
     def test_unavoidable_travel_radius_includes_braking(self, model):
         reach = WorstCaseReachability(model)
@@ -76,14 +77,13 @@ class TestWorstCaseReachability:
 
     def test_ttf_checker_variants(self, model, workspace_with_wall):
         reach = WorstCaseReachability(model)
-        with_braking = reach.make_ttf_checker(workspace_with_wall, 0.2, include_braking=True)
-        pure_reach = reach.make_ttf_checker(workspace_with_wall, 0.2, include_braking=False)
+        field = workspace_with_wall.clearance_field()
         # A state from which pure 2Δ reach is fine but braking is not
         # (clearance 1.5 m: above the 0.8 m travel bound, below the
         # 2.1 m travel-plus-stopping bound at full speed).
         state = DroneState(position=Vec3(8.5, 10.0, 2.0), velocity=Vec3(4.0, 0.0, 0.0))
-        assert with_braking(state)
-        assert not pure_reach(state)
+        assert reach.must_switch(state, field, 0.2)
+        assert not reach.may_leave_safe(state, field, 0.2)
 
     @given(
         x=st.floats(min_value=1.0, max_value=9.0, allow_nan=False),

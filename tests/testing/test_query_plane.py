@@ -3,14 +3,19 @@
 The tentpole guarantee of the query-plane refactor: routing the stack's
 clearance checks through the ClearanceField memo and evaluating monitors
 in vectorised windows changes *nothing* about what the systematic tester
-observes — same violations, same times, same trails.
+observes — same violations, same times, same trails.  The uncached
+reference runs every build on a private world whose clearance queries go
+to :class:`tests.oracles.clearance.ExactClearanceField`.
 """
 
 import numpy as np
 import pytest
 
+from repro.apps import scenarios as app_scenarios
 from repro.apps.scenarios import _shared_world
 from repro.testing import RandomStrategy, SystematicTester, scenario_factory
+
+from ..oracles.clearance import ExactClearanceField, exact_scenarios
 
 
 def _report_key(report):
@@ -25,12 +30,11 @@ def _report_key(report):
     ]
 
 
-def _sweep(executions=40, *, use_query_cache=True, monitor_window=64, unsafe=True, seed=11):
+def _sweep(executions=40, *, monitor_window=64, unsafe=True, seed=11):
     factory = scenario_factory(
         "drone-surveillance",
         horizon=2.0,
         include_unsafe_position=unsafe,
-        use_query_cache=use_query_cache,
     )
     tester = SystematicTester(
         factory,
@@ -42,8 +46,15 @@ def _sweep(executions=40, *, use_query_cache=True, monitor_window=64, unsafe=Tru
 
 class TestQueryPlaneEquivalence:
     def test_cached_plane_reproduces_uncached_reports(self):
-        cached = _sweep(use_query_cache=True)
-        uncached = _sweep(use_query_cache=False)
+        cached = _sweep()
+        shared = _shared_world().workspace.clearance_field().stats
+        queries = shared.queries
+        with exact_scenarios():
+            uncached = _sweep()
+            # Builds inside the block get private worlds with the exact field.
+            world = app_scenarios._shared_world()
+            assert isinstance(world.workspace.clearance_field(), ExactClearanceField)
+        assert shared.queries == queries  # the reference never touched the cache
         assert _report_key(cached) == _report_key(uncached)
         assert not cached.ok  # the unsafe variant must produce violations
 
@@ -95,8 +106,3 @@ class TestWarmOracle:
         _sweep(executions=4, unsafe=False)
         # Re-running the same workload stays on the precomputed cells.
         assert len(field) == lazy_before
-
-    def test_disabled_cache_builds_private_world(self):
-        factory = scenario_factory("drone-surveillance", horizon=1.0, use_query_cache=False)
-        instance = factory()
-        assert instance.system is not None
